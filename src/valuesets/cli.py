@@ -31,7 +31,6 @@ from .conditions import (
     condition_profile,
     up_invariant,
     verify_average_lemma,
-    wsc_lower,
 )
 from .energy import GroupSpec, SubsetPair, energy_bounds, n2_from_energy, product_set
 from .formats import (
@@ -50,7 +49,7 @@ from .functable import (
     image_count,
     spectrum,
 )
-from .gf import FieldPoly, FieldSpec, primitive_elements, prime_power_decomposition
+from .gf import FieldPoly, FieldSpec, poly_table, primitive_elements, prime_power_decomposition
 
 
 def _digest_file(args, path) -> None:
@@ -146,8 +145,6 @@ def _cmd_test_conditions(args):
     _maybe_digest(args, args.poly)
     poly = load_poly(args.poly)
     profile = condition_profile(poly)
-    from .gf import poly_table
-
     table = poly_table(poly)
     u = up_invariant(poly)
     result = {
@@ -157,7 +154,7 @@ def _cmd_test_conditions(args):
         "profile": profile.to_dict(),
         "image_count": image_count(table),
         "up_invariant": u,
-        "wsc_lower": wsc_lower(poly),
+        "wsc_lower": None if u is None else u + 1,  # wsc_lower, without recomputing u
         "lattice_ok": profile.lattice_ok(),
     }
     return result, 0 if profile.lattice_ok() else 1
@@ -194,6 +191,8 @@ def _cmd_verify_lemma(args):
     else:
         if args.q is None:
             raise InputFormatError("verify-lemma needs --poly or --q with --random")
+        if args.random < 1:
+            raise InputFormatError(f"--random must be at least 1, got {args.random}")
         p, k = prime_power_decomposition(args.q)
         spec = FieldSpec(p, k)
         rng = random.Random(args.seed)

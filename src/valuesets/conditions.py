@@ -14,10 +14,16 @@ C1 implies C2 and C3, and C2/C3 each imply C4.  The module also verifies the
 exact average identity sum_a N_2(f(X) + aX) = q(q-1), computes the power-sum
 invariant used by the Wan-Shiue-Chen lower bound, and classifies all q^q
 value tables over small fields by their 4-bit condition mask.
+
+One integer kernel decides C1-C3 on a value table, for single polynomials
+and for the classification alike.  With c(h) = #{(x, y) : f(x) - f(y) = h},
+|S_h|^2 = sum_u c(u) psi(hu), and Fourier inversion over the additive
+characters gives: C2 holds iff c(0) = 2q - 1 and c(h) = q - 1 for h != 0.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,10 +31,10 @@ from dataclasses import dataclass
 from .bounds import BoundReport, _s2_report
 from .functable import FunctionTable
 from .gf import (
+    CharacterCountVector,
     FieldElement,
     FieldPoly,
     FieldSpec,
-    char_count_vector_from_values,
     char_sum_sq_is_q,
     interpolate,
     poly_values,
@@ -93,11 +99,6 @@ class ClassificationSummary:
     witness_indices: dict[str, int]
     witness_polys: dict[str, tuple[int, ...]]
 
-    def mask_set(self, condition: str) -> set[str]:
-        """All masks (with nonzero count) under which `condition` holds."""
-        bit = {"c1": 0, "c2": 1, "c3": 2, "c4": 3}[condition]
-        return {m for m in self.mask_counts if m[bit] == "1"}
-
     def count_where(self, c1=None, c2=None, c3=None, c4=None) -> int:
         """Number of functions whose profile matches the given constraints."""
         want = (c1, c2, c3, c4)
@@ -124,7 +125,7 @@ class ClassificationSummary:
 
 def n2_of_values(values) -> int:
     """N_2 from the value distribution: sum of m(m-1) over label counts."""
-    return sum(m * (m - 1) for m in Counter(values).values())
+    return _n2(Counter(values).values())
 
 
 def difference_values(spec: FieldSpec, values, a: int) -> list[int]:
@@ -142,22 +143,77 @@ def difference_table(f: FieldPoly, a) -> FunctionTable:
     return FunctionTable(f.spec.q, tuple(vals))
 
 
-def _c1_scan(spec: FieldSpec, values) -> int | None:
+# The kernel works on a value table with the field's dense tables
+# add[a][x] = x + a and sub[u][v] = u - v.
+
+def _value_counts(values, q: int) -> list[int]:
+    counts = [0] * q
+    for v in values:
+        counts[v] += 1
+    return counts
+
+
+def _n2(counts) -> int:
+    """N_2 = sum of m(m - 1) over the value multiplicities m."""
+    return sum(m * (m - 1) for m in counts)
+
+
+def _c1_scan(values, add, sub) -> int | None:
     """First a != 0 whose difference map is not a bijection, else None."""
-    q = spec.q
-    for a in range(1, q):
-        if len(set(difference_values(spec, values, a))) != q:
-            return a
+    for a in range(1, len(values)):
+        seen = set()
+        for s, v in zip(add[a], values):  # s = x + a, v = f(x)
+            d = sub[values[s]][v]
+            if d in seen:
+                return a
+            seen.add(d)
     return None
 
 
-def _c3_scan(spec: FieldSpec, values) -> int | None:
+def _difference_counts(counts, sub) -> list[int]:
+    """c[h] = #{(x, y) : f(x) - f(y) = h}, from the value counts of f."""
+    c = [0] * len(counts)
+    support = [(v, m) for v, m in enumerate(counts) if m]
+    for v1, m1 in support:
+        row = sub[v1]
+        for v2, m2 in support:
+            c[row[v2]] += m1 * m2
+    return c
+
+
+def _c2_holds(counts, n2: int, sub) -> bool:
+    """C2: c(0) = 2q - 1 and c(h) = q - 1 for every h != 0.  Since
+    c(0) = q + N_2, a table that fails C4 fails here at once."""
+    q = len(counts)
+    if n2 != q - 1:
+        return False
+    # c[0] = 2q - 1, so the q - 1 entries equal to q - 1 must be all the others
+    return _difference_counts(counts, sub).count(q - 1) == q - 1
+
+
+def _c2_scan(spec: FieldSpec, counts, n2: int, sub) -> int | None:
+    """First h != 0 with |S_h|^2 != q, else None.  Only a table failing the
+    integer test is scanned: the trace counts d[j] of character h are sums
+    of difference counts, O(q) per h."""
+    if _c2_holds(counts, n2, sub):
+        return None
+    c = _difference_counts(counts, sub)
+    support = [u for u, cu in enumerate(c) if cu]
+    for h in range(1, spec.q):
+        d = [0] * spec.p
+        for u in support:
+            d[spec.trace_int(spec.mul(h, u))] += c[u]
+        if not char_sum_sq_is_q(CharacterCountVector(spec, h, tuple(d))):
+            return h
+    raise AssertionError("integer C2 test failed but every |S_h|^2 equals q")
+
+
+def _c3_scan(values, add) -> int | None:
     """First a != 0 whose difference map has root count != 1, else None."""
-    q = spec.q
-    for a in range(1, q):
+    for a in range(1, len(values)):
         roots = 0
-        for x in range(q):
-            if values[spec.add(x, a)] == values[x]:
+        for s, v in zip(add[a], values):  # s = x + a, v = f(x)
+            if values[s] == v:
                 roots += 1
                 if roots > 1:
                     break
@@ -166,19 +222,14 @@ def _c3_scan(spec: FieldSpec, values) -> int | None:
     return None
 
 
-def _c2_scan(spec: FieldSpec, values) -> int | None:
-    """First h != 0 with |S_h|^2 != q, else None."""
-    for h in range(1, spec.q):
-        if not char_sum_sq_is_q(char_count_vector_from_values(spec, values, h)):
-            return h
-    return None
-
-
 def profile_from_values(spec: FieldSpec, values) -> ConditionProfile:
-    n2 = n2_of_values(values)
-    a1 = _c1_scan(spec, values)
-    h2 = _c2_scan(spec, values)
-    a3 = _c3_scan(spec, values)
+    q = spec.q
+    add, sub = spec.add_rows(), spec.sub_rows()
+    counts = _value_counts(values, q)
+    n2 = _n2(counts)
+    a1 = _c1_scan(values, add, sub)
+    h2 = _c2_scan(spec, counts, n2, sub)
+    a3 = _c3_scan(values, add)
     note = None
     if spec.p == 2:
         note = "even characteristic: N_2 is even, so C4 (and with it C1) cannot hold"
@@ -186,7 +237,7 @@ def profile_from_values(spec: FieldSpec, values) -> ConditionProfile:
         c1=a1 is None,
         c2=h2 is None,
         c3=a3 is None,
-        c4=n2 == spec.q - 1,
+        c4=n2 == q - 1,
         n2=n2,
         c1_witness=a1,
         c2_witness=h2,
@@ -198,17 +249,18 @@ def profile_from_values(spec: FieldSpec, values) -> ConditionProfile:
 # -- polynomial level API -----------------------------------------------------
 
 def test_c1(f: FieldPoly) -> tuple[bool, int | None]:
-    a = _c1_scan(f.spec, poly_values(f))
+    a = _c1_scan(poly_values(f), f.spec.add_rows(), f.spec.sub_rows())
     return a is None, a
 
 
 def test_c2(f: FieldPoly) -> tuple[bool, int | None]:
-    h = _c2_scan(f.spec, poly_values(f))
+    counts = _value_counts(poly_values(f), f.spec.q)
+    h = _c2_scan(f.spec, counts, _n2(counts), f.spec.sub_rows())
     return h is None, h
 
 
 def test_c3(f: FieldPoly) -> tuple[bool, int | None]:
-    a = _c3_scan(f.spec, poly_values(f))
+    a = _c3_scan(poly_values(f), f.spec.add_rows())
     return a is None, a
 
 
@@ -302,89 +354,36 @@ def _classify_shard(args) -> tuple[list[int], list[int | None]]:
     spec = FieldSpec(p, k, modulus)
     q = spec.q
     qm1 = q - 1
-    add_rows = spec.add_rows()
-    sub_rows = spec.sub_rows()
-    trh_rows = spec.trace_mul_rows()
-    pp = spec.p
+    add, sub = spec.add_rows(), spec.sub_rows()
 
     counts = [0] * 16
     first: list[int | None] = [None] * 16
 
     vals = index_to_values(lo, q)
-    idx = lo
-    while idx < hi:
-        # C4: pair-collision count
-        cnt = [0] * q
-        for v in vals:
-            cnt[v] += 1
-        n2 = 0
-        for c in cnt:
-            n2 += c * (c - 1)
-        c4 = n2 == qm1
-
-        # C3: every difference map has exactly one root
-        c3 = True
-        for a in range(1, q):
-            row = add_rows[a]
-            roots = 0
-            for x in range(q):
-                if vals[row[x]] == vals[x]:
-                    roots += 1
-                    if roots > 1:
-                        break
-            if roots != 1:
-                c3 = False
-                break
-
-        # C1: every difference map is a bijection
-        c1 = True
-        for a in range(1, q):
-            row = add_rows[a]
-            seen = [False] * q
-            for x in range(q):
-                d = sub_rows[vals[row[x]]][vals[x]]
-                if seen[d]:
-                    c1 = False
-                    break
-                seen[d] = True
-            if not c1:
-                break
-
-        # C2: every character sum has squared magnitude q
-        w = [0] * q
-        nonzero = [v for v in range(q) if cnt[v]]
-        for v1 in nonzero:
-            m1 = cnt[v1]
-            srow = sub_rows[v1]
-            for v2 in nonzero:
-                w[srow[v2]] += m1 * cnt[v2]
-        c2 = True
-        for h in range(1, q):
-            row = trh_rows[h]
-            d = [0] * pp
-            for c in range(q):
-                wc = w[c]
-                if wc:
-                    d[row[c]] += wc
-            head = d[0] - q
-            for j in range(1, pp):
-                if d[j] != head:
-                    c2 = False
-                    break
-            if not c2:
-                break
-
-        mask = (8 if c1 else 0) | (4 if c2 else 0) | (2 if c3 else 0) | (1 if c4 else 0)
+    cnt = _value_counts(vals, q)
+    n2 = _n2(cnt)
+    for idx in range(lo, hi):
+        mask = (
+            (8 if _c1_scan(vals, add, sub) is None else 0)
+            | (4 if _c2_holds(cnt, n2, sub) else 0)
+            | (2 if _c3_scan(vals, add) is None else 0)
+            | (1 if n2 == qm1 else 0)
+        )
         counts[mask] += 1
         if first[mask] is None:
             first[mask] = idx
 
-        idx += 1
-        for pos in range(q - 1, -1, -1):  # odometer increment
-            vals[pos] += 1
-            if vals[pos] < q:
+        # odometer increment; moving one x from value v to w changes N_2 by
+        # 2 * (count of w before) - 2 * (count of v after)
+        for pos in range(qm1, -1, -1):
+            v = vals[pos]
+            w = v + 1 if v < qm1 else 0
+            vals[pos] = w
+            cnt[v] -= 1
+            n2 += 2 * (cnt[w] - cnt[v])
+            cnt[w] += 1
+            if w:
                 break
-            vals[pos] = 0
     return counts, first
 
 
@@ -423,7 +422,8 @@ def classify_all(
     if len(shards) == 1:
         results = [_classify_shard(shards[0])]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(shards), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_classify_shard, shards))
 
     counts = [0] * 16

@@ -12,10 +12,11 @@ from __future__ import annotations
 import cmath
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .functable import FunctionTable
 
-TABLE_LIMIT = 2048  # largest q for which dense q x q helper tables may be built
+TABLE_LIMIT = 2048  # largest q for which the dense q x q add and sub tables are built
 
 
 class FieldConstructionError(ValueError):
@@ -129,9 +130,38 @@ def _encode_digits(digits, p: int) -> int:
     return e
 
 
+def _add_table(p: int, k: int) -> list[list[int]]:
+    """Addition table of GF(p^k) on base-p encodings, one digit at a time.
+
+    Addition is digit-wise mod p.  Given the table for the m = p^j encodings
+    below m, the row of a = lo + m*hi in the table for p*m encodings is
+    blocks c = 0..p-1 of row lo shifted by m*c, rotated by hi blocks.  Rows
+    reference the int objects of one range list, so the table costs a
+    pointer per entry.
+    """
+    q = p**k
+    elems = list(range(q))
+    base = elems[:p]
+    rows = [base[a:] + base[:a] for a in range(p)]
+    m = p
+    while m < q:
+        chunks = [elems[m * c : m * (c + 1)] for c in range(p)]
+        blocks = [[list(map(chunk.__getitem__, row)) for chunk in chunks] for row in rows]
+        rows = [
+            list(chain.from_iterable(bl[hi:] + bl[:hi])) for hi in range(p) for bl in blocks
+        ]
+        m *= p
+    return rows
+
+
 class FieldSpec:
     """Immutable description of GF(p^k) with table-backed arithmetic on
-    integer encodings.  Use :func:`field_build` to construct one."""
+    integer encodings.  Use :func:`field_build` to construct one.
+
+    Multiplication goes through discrete-log tables built here.  Addition in
+    an extension field looks up a q x q table built on first use, for
+    q <= TABLE_LIMIT; larger extension fields add digit vectors.  Prime
+    fields reduce mod p."""
 
     def __init__(self, p: int, k: int, modulus=None):
         if not is_prime(p):
@@ -177,6 +207,7 @@ class FieldSpec:
         self._trace_cache = None
         self._add_rows_cache = None
         self._sub_rows_cache = None
+        self._neg_cache = None
         self._trace_mul_cache = None
 
     @staticmethod
@@ -242,19 +273,25 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        p = self.p
-        da = _digits_of(a, p, self.k)
-        db = _digits_of(b, p, self.k)
-        return _encode_digits([(x + y) % p for x, y in zip(da, db)], p)
+        rows = self._add_rows_cache
+        if rows is None:
+            if self.q > TABLE_LIMIT:
+                p = self.p
+                da = _digits_of(a, p, self.k)
+                db = _digits_of(b, p, self.k)
+                return _encode_digits([(x + y) % p for x, y in zip(da, db)], p)
+            rows = self.add_rows()
+        return rows[a][b]
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        p = self.p
-        return _encode_digits([(-x) % p for x in _digits_of(a, p, self.k)], p)
+        return self._negatives()[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.k == 1:
+            return (a - b) % self.p
+        return self.add(a, self._negatives()[b])
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -293,54 +330,57 @@ class FieldSpec:
     def trace_int(self, a: int) -> int:
         """Tr(a) = a + a^p + ... + a^(p^(k-1)), as an encoding in [0, p)."""
         if self._trace_cache is None:
-            table = []
-            for x in range(self.q):
-                acc = 0
-                y = x
-                for _ in range(self.k):
-                    acc = self.add(acc, y)
-                    y = self.pow(y, self.p)
-                table.append(acc)
-            for v in table:
-                if v >= self.p:
+            p, k = self.p, self.k
+            # Tr is F_p-linear: Tr(sum d_i X^i) = sum d_i Tr(X^i), so the
+            # table follows from the traces of the basis X^i (encoding p^i)
+            basis = []
+            for i in range(k):
+                acc = [0] * k
+                y = p**i
+                for _ in range(k):
+                    acc = [(s + d) % p for s, d in zip(acc, _digits_of(y, p, k))]
+                    y = self.pow(y, p)
+                if any(acc[1:]):
                     raise AssertionError("trace left the prime subfield")
+                basis.append(acc[0])
+            table = [0]
+            for t in basis:  # extend from p^i to p^(i+1) encodings by digit i
+                table = [(s + d * t) % p for d in range(p) for s in table]
             self._trace_cache = table
         return self._trace_cache[a]
 
-    def multiplicative_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        order = self.q - 1
-        for ell in prime_factors(self.q - 1):
-            while order % ell == 0 and self.pow(a, order // ell) == 1:
-                order //= ell
-        return order
-
-    # -- dense helper tables (classification hot paths) ---------------------
+    # -- dense helper tables (condition kernel) ------------------------------
 
     def _check_table_size(self):
         if self.q > TABLE_LIMIT:
             raise FieldConstructionError(
-                f"dense q x q tables disabled for q = {self.q} > {TABLE_LIMIT}"
+                f"dense q x q tables (used by the condition tests and classification) "
+                f"are limited to q <= {TABLE_LIMIT}, got q = {self.q}"
             )
 
     def add_rows(self) -> list[list[int]]:
         """add_rows()[a][x] = x + a."""
         if self._add_rows_cache is None:
             self._check_table_size()
-            self._add_rows_cache = [
-                [self.add(x, a) for x in range(self.q)] for a in range(self.q)
-            ]
+            self._add_rows_cache = _add_table(self.p, self.k)
         return self._add_rows_cache
 
     def sub_rows(self) -> list[list[int]]:
         """sub_rows()[u][v] = u - v."""
         if self._sub_rows_cache is None:
-            self._check_table_size()
-            self._sub_rows_cache = [
-                [self.sub(u, v) for v in range(self.q)] for u in range(self.q)
-            ]
+            neg = self._negatives()
+            self._sub_rows_cache = [list(map(row.__getitem__, neg)) for row in self.add_rows()]
         return self._sub_rows_cache
+
+    def _negatives(self) -> list[int]:
+        """_negatives()[x] = -x (a list of q entries, built on first use)."""
+        if self._neg_cache is None:
+            p, k = self.p, self.k
+            self._neg_cache = [
+                _encode_digits([(-d) % p for d in _digits_of(x, p, k)], p)
+                for x in range(self.q)
+            ]
+        return self._neg_cache
 
     def trace_mul_rows(self) -> list[list[int]]:
         """trace_mul_rows()[h][c] = Tr(h*c), encodings in [0, p)."""
@@ -359,12 +399,6 @@ class FieldSpec:
 
     def elements(self):
         return (FieldElement(self, v) for v in range(self.q))
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
 
     def __eq__(self, other):
         return (
@@ -485,6 +519,7 @@ class FieldPoly:
         while vals and vals[-1] == 0:
             vals.pop()
         self.coeffs = tuple(vals)
+        self._values = None  # value table, filled in by poly_values
 
     @property
     def degree(self) -> int:
@@ -502,10 +537,6 @@ class FieldPoly:
 
     def __repr__(self):
         return f"FieldPoly({self.spec!r}, {list(self.coeffs)})"
-
-    @classmethod
-    def monomial(cls, spec: FieldSpec, degree: int, coeff: int = 1) -> "FieldPoly":
-        return cls(spec, [0] * degree + [coeff])
 
 
 def poly_eval(f: FieldPoly, x) -> FieldElement:
@@ -528,15 +559,32 @@ def poly_eval(f: FieldPoly, x) -> FieldElement:
 
 
 def poly_values(f: FieldPoly) -> list[int]:
-    """Value encodings of f at all q points, in encoding order."""
-    spec = f.spec
-    out = []
-    for x in range(spec.q):
-        acc = 0
-        for c in reversed(f.coeffs):
-            acc = spec.add(spec.mul(acc, x), c)
-        out.append(acc)
-    return out
+    """Value encodings of f at all q points, in encoding order.  The table is
+    computed once per polynomial and copied out on each call."""
+    if f._values is None:
+        spec = f.spec
+        q = spec.q
+        coeffs = f.coeffs[::-1]
+        if spec.k == 1:
+            p = spec.p
+            out = []
+            for x in range(q):
+                acc = 0
+                for c in coeffs:
+                    acc = (acc * x + c) % p
+                out.append(acc)
+        else:
+            # Horner with acc * x = exp[(log acc + log x) mod (q - 1)] for x != 0
+            add, exp, log, qm1 = spec.add, spec._exp, spec._log, q - 1
+            out = [f.coeffs[0] if f.coeffs else 0]
+            for x in range(1, q):
+                lx = log[x]
+                acc = 0
+                for c in coeffs:
+                    acc = add(exp[(log[acc] + lx) % qm1], c) if acc else c
+                out.append(acc)
+        f._values = tuple(out)
+    return list(f._values)
 
 
 def poly_table(f: FieldPoly) -> FunctionTable:

@@ -145,6 +145,14 @@ def test_verify_lemma_random(capsys):
     assert all(e["sum"] == 72 and e["ok"] for e in r["polys"])
 
 
+def test_verify_lemma_random_below_one_exits_2(capsys):
+    for count in ("0", "-5"):
+        assert main(["verify-lemma", "--q", "7", "--random", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--random must be at least 1" in captured.err
+
+
 def test_verify_lemma_poly(capsys):
     code, report = run_cli(
         capsys, "verify-lemma", "--poly", '{"p": 5, "coeffs": [0, 0, 1]}'

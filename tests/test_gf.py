@@ -19,6 +19,7 @@ from valuesets.gf import (
     is_primitive,
     poly_eval,
     poly_table,
+    poly_values,
     primitive_elements,
     reduce_mod_qx,
 )
@@ -242,3 +243,76 @@ def test_all_irreducibles_give_isomorphic_arithmetic():
         assert len(primitive_elements(spec)) == 4
         traces = sorted(spec.trace_int(x) for x in range(9))
         assert traces == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+
+
+def _digitwise(spec):
+    """add and neg straight from the definition: base-p digits, mod p."""
+    p, k = spec.p, spec.k
+
+    def digits(e):
+        return [(e // p**i) % p for i in range(k)]
+
+    def encode(ds):
+        return sum(d * p**i for i, d in enumerate(ds))
+
+    def add(a, b):
+        return encode([(x + y) % p for x, y in zip(digits(a), digits(b))])
+
+    def neg(a):
+        return encode([(-x) % p for x in digits(a)])
+
+    return add, neg
+
+
+def _check_arithmetic(spec, pairs):
+    add, neg = _digitwise(spec)
+    for a, b in pairs:
+        assert spec.add(a, b) == add(a, b)
+        assert spec.sub(a, b) == add(a, neg(b))
+        assert spec.neg(a) == neg(a)
+
+
+def test_table_arithmetic_matches_digits():
+    for p, k in ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)):
+        spec = field_build(p, k)
+        q = spec.q
+        _check_arithmetic(spec, itertools.product(range(q), repeat=2))
+        add, neg = _digitwise(spec)
+        rows, subs = spec.add_rows(), spec.sub_rows()
+        for a, b in itertools.product(range(q), repeat=2):
+            assert rows[a][b] == add(a, b) and subs[a][b] == add(a, neg(b))
+    rng = random.Random(5)
+    for p, k in ((2, 7), (3, 5)):
+        spec = field_build(p, k)
+        _check_arithmetic(spec, [(rng.randrange(spec.q), rng.randrange(spec.q)) for _ in range(5000)])
+
+
+def test_large_extension_field_adds_digits_without_tables():
+    from valuesets.gf import TABLE_LIMIT
+
+    spec = field_build(3, 7)
+    assert spec.q == 2187 > TABLE_LIMIT
+    rng = random.Random(6)
+    _check_arithmetic(spec, [(rng.randrange(spec.q), rng.randrange(spec.q)) for _ in range(2000)])
+    assert spec._add_rows_cache is None and spec._sub_rows_cache is None  # no q x q table
+    with pytest.raises(FieldConstructionError):
+        spec.add_rows()
+
+
+def test_trace_table_matches_definition():
+    for p, k in ((2, 3), (3, 2), (5, 2), (3, 3), (2, 7)):
+        spec = field_build(p, k)
+        add, _ = _digitwise(spec)
+        for x in range(spec.q):
+            acc = 0
+            for i in range(k):
+                acc = add(acc, spec.pow(x, p**i))
+            assert spec.trace_int(x) == acc
+
+
+def test_poly_values_hands_out_copies():
+    f = FieldPoly(F9, [1, 0, 3])
+    first = poly_values(f)
+    first[0] = (first[0] + 1) % 9
+    assert poly_values(f) != first
+    assert poly_values(f) == list(poly_table(FieldPoly(F9, [1, 0, 3])).values)
