@@ -31,6 +31,7 @@ from .conditions import (
     condition_profile,
     up_invariant,
     verify_average_lemma,
+    wsc_from_up,
 )
 from .energy import GroupSpec, SubsetPair, energy_bounds, n2_from_energy, product_set
 from .formats import (
@@ -154,7 +155,7 @@ def _cmd_test_conditions(args):
         "profile": profile.to_dict(),
         "image_count": image_count(table),
         "up_invariant": u,
-        "wsc_lower": None if u is None else u + 1,  # wsc_lower, without recomputing u
+        "wsc_lower": wsc_from_up(u),
         "lattice_ok": profile.lattice_ok(),
     }
     return result, 0 if profile.lattice_ok() else 1

@@ -27,10 +27,12 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 from .bounds import BoundReport, _s2_report
 from .functable import FunctionTable
 from .gf import (
+    TABLE_LIMIT,
     CharacterCountVector,
     FieldElement,
     FieldPoly,
@@ -143,8 +145,41 @@ def difference_table(f: FieldPoly, a) -> FunctionTable:
     return FunctionTable(f.spec.q, tuple(vals))
 
 
-# The kernel works on a value table with the field's dense tables
-# add[a][x] = x + a and sub[u][v] = u - v.
+# The kernel works on a value table with the field's tables add[a][x] = x + a
+# and sub[u][v] = u - v: dense for q <= TABLE_LIMIT, computed per entry above.
+
+class _OpRow:
+    """Row a of a table op(a, x), each entry computed when read."""
+
+    __slots__ = ("op", "a", "q")
+
+    def __init__(self, op, a: int, q: int):
+        self.op, self.a, self.q = op, a, q
+
+    def __getitem__(self, x: int) -> int:
+        return self.op(self.a, x)
+
+    def __iter__(self):
+        return map(self.op, repeat(self.a, self.q), range(self.q))
+
+
+class _OpRows:
+    """rows[a][x] = op(a, x) without a q x q table."""
+
+    def __init__(self, op, q: int):
+        self.op, self.q = op, q
+
+    def __getitem__(self, a: int) -> _OpRow:
+        return _OpRow(self.op, a, self.q)
+
+
+def _kernel_rows(spec: FieldSpec):
+    """The add and sub tables of the kernel (addition commutes, so
+    add[a][x] = spec.add(a, x))."""
+    if spec.q <= TABLE_LIMIT:
+        return spec.add_rows(), spec.sub_rows()
+    return _OpRows(spec.add, spec.q), _OpRows(spec.sub, spec.q)
+
 
 def _value_counts(values, q: int) -> list[int]:
     counts = [0] * q
@@ -224,7 +259,7 @@ def _c3_scan(values, add) -> int | None:
 
 def profile_from_values(spec: FieldSpec, values) -> ConditionProfile:
     q = spec.q
-    add, sub = spec.add_rows(), spec.sub_rows()
+    add, sub = _kernel_rows(spec)
     counts = _value_counts(values, q)
     n2 = _n2(counts)
     a1 = _c1_scan(values, add, sub)
@@ -249,18 +284,18 @@ def profile_from_values(spec: FieldSpec, values) -> ConditionProfile:
 # -- polynomial level API -----------------------------------------------------
 
 def test_c1(f: FieldPoly) -> tuple[bool, int | None]:
-    a = _c1_scan(poly_values(f), f.spec.add_rows(), f.spec.sub_rows())
+    a = _c1_scan(poly_values(f), *_kernel_rows(f.spec))
     return a is None, a
 
 
 def test_c2(f: FieldPoly) -> tuple[bool, int | None]:
     counts = _value_counts(poly_values(f), f.spec.q)
-    h = _c2_scan(f.spec, counts, _n2(counts), f.spec.sub_rows())
+    h = _c2_scan(f.spec, counts, _n2(counts), _kernel_rows(f.spec)[1])
     return h is None, h
 
 
 def test_c3(f: FieldPoly) -> tuple[bool, int | None]:
-    a = _c3_scan(poly_values(f), f.spec.add_rows())
+    a = _c3_scan(poly_values(f), _kernel_rows(f.spec)[0])
     return a is None, a
 
 
@@ -323,10 +358,15 @@ def up_invariant(f: FieldPoly) -> int | None:
     return None
 
 
+def wsc_from_up(u: int | None) -> int | None:
+    """Wan-Shiue-Chen lower bound V(f) >= u_p(f) + 1 from u = u_p(f), when
+    u_p is finite."""
+    return None if u is None else u + 1
+
+
 def wsc_lower(f: FieldPoly) -> int | None:
     """Wan-Shiue-Chen lower bound V(f) >= u_p(f) + 1, when u_p is finite."""
-    u = up_invariant(f)
-    return None if u is None else u + 1
+    return wsc_from_up(up_invariant(f))
 
 
 # -- exhaustive classification ------------------------------------------------

@@ -354,8 +354,7 @@ class FieldSpec:
     def _check_table_size(self):
         if self.q > TABLE_LIMIT:
             raise FieldConstructionError(
-                f"dense q x q tables (used by the condition tests and classification) "
-                f"are limited to q <= {TABLE_LIMIT}, got q = {self.q}"
+                f"dense q x q tables are limited to q <= {TABLE_LIMIT}, got q = {self.q}"
             )
 
     def add_rows(self) -> list[list[int]]:

@@ -114,6 +114,21 @@ def test_test_conditions_inline(capsys):
     assert report["result"]["lattice_ok"]
 
 
+def test_test_conditions_above_table_limit(capsys):
+    # q = 2053 > TABLE_LIMIT: no dense q x q tables, the kernel reads entries
+    code, report = run_cli(
+        capsys, "test-conditions", "--poly", '{"p": 2053, "coeffs": [0, 0, 0, 1]}'
+    )
+    assert code == 0
+    r = report["result"]
+    # 3 | q - 1, so X^3 is 3-to-1 off 0: 1 + 2052/3 values, N_2 = 684 * 3 * 2,
+    # and sum_x x^(3k) != 0 first when 2052 | 3k
+    assert r["image_count"] == 685
+    assert r["profile"]["mask"] == "0000" and r["profile"]["n2"] == 4104
+    assert (r["profile"]["c1_witness"], r["profile"]["c2_witness"], r["profile"]["c3_witness"]) == (1, 1, 1)
+    assert (r["up_invariant"], r["wsc_lower"]) == (684, 685)
+
+
 def test_classify(capsys):
     code, report = run_cli(capsys, "classify", "--q", "3")
     assert code == 0
