@@ -148,7 +148,9 @@ def _s2_gap(t: int) -> int:
     return (i + 1) // 2 if i % 2 else i // 2
 
 
-def _s2_report(n: int, t: int) -> BoundReport:
+def s2_report(n: int, t: int) -> BoundReport:
+    """The closed-form s = 2 report for N_2 = t, without checking t: the
+    applications (planar functions, product sets) derive theirs from it."""
     lower_real = Fraction(n) - Fraction(t, 2)
     gap = _s2_gap(t)
     d = 4 * t + 1
@@ -179,7 +181,7 @@ def bounds_s2(n: int, t: int) -> BoundReport:
         raise ValueError("collision count must be non-negative")
     if t % 2:
         raise ParityError(f"N_2 is necessarily even, got {t}")
-    return _s2_report(n, t)
+    return s2_report(n, t)
 
 
 # Minimal-weight triangular decompositions, memoized across calls.  The table

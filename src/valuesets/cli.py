@@ -10,8 +10,10 @@ violated, 2 malformed input or refused budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -29,11 +31,12 @@ from .conditions import (
     CLASSIFY_BUDGET,
     classify_all,
     condition_profile,
+    mask_lattice_ok,
     up_invariant,
     verify_average_lemma,
     wsc_from_up,
 )
-from .energy import GroupSpec, SubsetPair, energy_bounds, n2_from_energy, product_set
+from .energy import GroupSpec, SubsetPair, energy_bounds, product_set
 from .formats import (
     InputFormatError,
     function_table_to_dict,
@@ -85,7 +88,12 @@ def _cmd_stats(args):
 
 
 def _cmd_bounds(args):
-    report = bound_report(args.n, args.s, args.t)
+    n, s, t = args.n, args.s, args.t
+    if n < 1:
+        raise InputFormatError(f"--n must be at least 1, got {n}")
+    if s >= 2 and not 0 <= t <= math.perm(n, s):
+        raise InputFormatError(f"--t must lie in [0, P(n, s)] = [0, {math.perm(n, s)}], got {t}")
+    report = bound_report(n, s, t)
     return report.to_dict(), 0
 
 
@@ -166,12 +174,7 @@ def _cmd_classify(args):
     budget = args.budget if args.budget is not None else CLASSIFY_BUDGET
     summary = classify_all(args.q, budget=budget, jobs=args.jobs, modulus=modulus)
     violations = sum(
-        cnt
-        for mask, cnt in summary.mask_counts.items()
-        if (mask[0] == "1" and mask[1] == "0")
-        or (mask[0] == "1" and mask[2] == "0")
-        or (mask[2] == "1" and mask[3] == "0")
-        or (mask[1] == "1" and mask[3] == "0")
+        cnt for mask, cnt in summary.mask_counts.items() if not mask_lattice_ok(mask)
     )
     result = summary.to_dict()
     result["derived"] = {
@@ -232,16 +235,15 @@ def _cmd_energy(args):
     pair = SubsetPair(group, tuple(load_subset(args.a)), tuple(load_subset(args.b)))
     report = energy_bounds(pair)
     prod = product_set(pair)
-    n2 = n2_from_energy(pair)
     sandwich_ok = report.lower_int <= len(prod) <= report.upper_int
     result = {
         "group": {"kind": group.kind, "order": group.order},
         "a_size": len(pair.a),
         "b_size": len(pair.b),
-        "n": len(pair.a) * len(pair.b),
+        "n": report.n,
         "energy": report.extras["energy"],
-        "collision_count": n2,
-        "product_set_size": len(prod),
+        "collision_count": report.collision_count,
+        "product_set_size": report.extras["product_set_size"],
         "product_set": list(prod) if len(prod) <= 1000 else None,
         "bounds": report.to_dict(),
         "sandwich_ok": sandwich_ok,
@@ -301,70 +303,57 @@ def _build_manifest(args) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared for the process."""
     parser = argparse.ArgumentParser(
         prog="valuesets",
         description="Image-set statistics, collision bounds, and finite-field planarity conditions",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
-        sp.add_argument("--out", help="also write the JSON report to this path")
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        sp.add_argument(
-            "--jobs", type=int, default=1, help="worker count for sharded subcommands"
-        )
-        sp.add_argument(
-            "--budget", type=int, default=None, help="enumeration budget override"
-        )
-
     sp = sub.add_parser("stats", help="statistics of a function table file")
     sp.add_argument("table", help="JSON or CSV function table")
-    common(sp)
     sp.set_defaults(handler=_cmd_stats)
 
     sp = sub.add_parser("bounds", help="two-sided image-count bounds from (n, s, t)")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--s", type=int, default=2)
     sp.add_argument("--t", type=int, required=True)
-    common(sp)
     sp.set_defaults(handler=_cmd_bounds)
 
     sp = sub.add_parser("bk", help="minimal triangular-decomposition weight B_k")
     sp.add_argument("--k", type=int, required=True)
-    common(sp)
     sp.set_defaults(handler=_cmd_bk)
 
     sp = sub.add_parser("construct", help="build a bound-attaining function table")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--t", type=int, required=True, help="target pair-collision count")
     sp.add_argument("--kind", choices=("lower", "upper"), default="lower")
-    common(sp)
     sp.set_defaults(handler=_cmd_construct)
 
     sp = sub.add_parser("field", help="describe GF(p^k) and its primitive elements")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--modulus", help="little-endian coefficients incl. leading 1")
-    common(sp)
     sp.set_defaults(handler=_cmd_field)
 
     sp = sub.add_parser("test-conditions", help="condition profile of a polynomial")
     sp.add_argument("--poly", required=True, help="polynomial spec JSON (path or inline)")
-    common(sp)
     sp.set_defaults(handler=_cmd_test_conditions)
 
     sp = sub.add_parser("classify", help="profile all q^q value tables over GF(q)")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--modulus", help="little-endian coefficients incl. leading 1")
-    common(sp)
+    sp.add_argument("--jobs", type=int, default=1, help="worker count (default 1)")
+    sp.add_argument("--budget", type=int, default=None, help="enumeration budget override")
     sp.set_defaults(handler=_cmd_classify)
 
     sp = sub.add_parser("verify-lemma", help="check sum_a N_2(f+aX) == q(q-1)")
     sp.add_argument("--poly", help="polynomial spec JSON (path or inline)")
     sp.add_argument("--q", type=int, help="field size for --random mode")
     sp.add_argument("--random", type=int, default=25, help="number of random polynomials")
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     sp.set_defaults(handler=_cmd_verify_lemma)
 
     sp = sub.add_parser("energy", help="multiplicative energy bounds for subset pairs")
@@ -373,14 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cayley", help="CSV Cayley table path")
     sp.add_argument("--a", required=True, help="subset A as JSON array (path or inline)")
     sp.add_argument("--b", required=True, help="subset B as JSON array (path or inline)")
-    common(sp)
     sp.set_defaults(handler=_cmd_energy)
 
     sp = sub.add_parser("code-bounds", help="redundancy bounds for a code assignment")
     sp.add_argument("assignment", help="CSV of codeword,message rows")
-    common(sp)
     sp.set_defaults(handler=_cmd_code_bounds)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--out", help="also write the JSON report to this path")
     return parser
 
 

@@ -26,13 +26,11 @@ from __future__ import annotations
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, replace
 
-from .bounds import BoundReport, _s2_report
+from .bounds import BoundReport, s2_report
 from .functable import FunctionTable
 from .gf import (
-    TABLE_LIMIT,
     CharacterCountVector,
     FieldElement,
     FieldPoly,
@@ -48,6 +46,13 @@ CLASSIFY_BUDGET = 1_000_000  # default cap on q**q table enumerations
 
 class ClassificationBudgetError(RuntimeError):
     """classify_all refused to enumerate; raise the budget to override."""
+
+
+def mask_lattice_ok(mask: str) -> bool:
+    """The implications C1->C2, C1->C3, C3->C4 and C2->C4 all hold on a
+    condition mask such as '0111' (the bits of C1, C2, C3, C4)."""
+    c1, c2, c3, c4 = (bit == "1" for bit in mask)
+    return all(not a or b for a, b in ((c1, c2), (c1, c3), (c3, c4), (c2, c4)))
 
 
 @dataclass(frozen=True)
@@ -68,12 +73,7 @@ class ConditionProfile:
 
     def lattice_ok(self) -> bool:
         """The implications C1->C2, C1->C3, C3->C4, C2->C4 all hold."""
-        return not (
-            (self.c1 and not self.c2)
-            or (self.c1 and not self.c3)
-            or (self.c3 and not self.c4)
-            or (self.c2 and not self.c4)
-        )
+        return mask_lattice_ok(self.mask)
 
     def to_dict(self) -> dict:
         return {
@@ -145,41 +145,8 @@ def difference_table(f: FieldPoly, a) -> FunctionTable:
     return FunctionTable(f.spec.q, tuple(vals))
 
 
-# The kernel works on a value table with the field's tables add[a][x] = x + a
-# and sub[u][v] = u - v: dense for q <= TABLE_LIMIT, computed per entry above.
-
-class _OpRow:
-    """Row a of a table op(a, x), each entry computed when read."""
-
-    __slots__ = ("op", "a", "q")
-
-    def __init__(self, op, a: int, q: int):
-        self.op, self.a, self.q = op, a, q
-
-    def __getitem__(self, x: int) -> int:
-        return self.op(self.a, x)
-
-    def __iter__(self):
-        return map(self.op, repeat(self.a, self.q), range(self.q))
-
-
-class _OpRows:
-    """rows[a][x] = op(a, x) without a q x q table."""
-
-    def __init__(self, op, q: int):
-        self.op, self.q = op, q
-
-    def __getitem__(self, a: int) -> _OpRow:
-        return _OpRow(self.op, a, self.q)
-
-
-def _kernel_rows(spec: FieldSpec):
-    """The add and sub tables of the kernel (addition commutes, so
-    add[a][x] = spec.add(a, x))."""
-    if spec.q <= TABLE_LIMIT:
-        return spec.add_rows(), spec.sub_rows()
-    return _OpRows(spec.add, spec.q), _OpRows(spec.sub, spec.q)
-
+# The kernel works on a value table with the field's tables
+# add[a][x] = x + a and sub[u][v] = u - v (FieldSpec.add_rows, sub_rows).
 
 def _value_counts(values, q: int) -> list[int]:
     counts = [0] * q
@@ -259,7 +226,7 @@ def _c3_scan(values, add) -> int | None:
 
 def profile_from_values(spec: FieldSpec, values) -> ConditionProfile:
     q = spec.q
-    add, sub = _kernel_rows(spec)
+    add, sub = spec.add_rows(), spec.sub_rows()
     counts = _value_counts(values, q)
     n2 = _n2(counts)
     a1 = _c1_scan(values, add, sub)
@@ -284,18 +251,18 @@ def profile_from_values(spec: FieldSpec, values) -> ConditionProfile:
 # -- polynomial level API -----------------------------------------------------
 
 def test_c1(f: FieldPoly) -> tuple[bool, int | None]:
-    a = _c1_scan(poly_values(f), *_kernel_rows(f.spec))
+    a = _c1_scan(poly_values(f), f.spec.add_rows(), f.spec.sub_rows())
     return a is None, a
 
 
 def test_c2(f: FieldPoly) -> tuple[bool, int | None]:
     counts = _value_counts(poly_values(f), f.spec.q)
-    h = _c2_scan(f.spec, counts, _n2(counts), _kernel_rows(f.spec)[1])
+    h = _c2_scan(f.spec, counts, _n2(counts), f.spec.sub_rows())
     return h is None, h
 
 
 def test_c3(f: FieldPoly) -> tuple[bool, int | None]:
-    a = _c3_scan(poly_values(f), _kernel_rows(f.spec)[0])
+    a = _c3_scan(poly_values(f), f.spec.add_rows())
     return a is None, a
 
 
@@ -325,20 +292,9 @@ def verify_average_lemma(f: FieldPoly) -> tuple[int, bool]:
 
 def poly_version_bounds(q: int) -> BoundReport:
     """Image-count bounds for a polynomial whose N_2 equals the average q-1."""
-    report = _s2_report(q, q - 1)
-    provenance = dict(report.provenance)
-    provenance["hypothesis"] = "collision count at its average value q-1"
-    return BoundReport(
-        n=report.n,
-        s=2,
-        collision_count=report.collision_count,
-        lower_real=report.lower_real,
-        lower_int=report.lower_int,
-        upper_real=report.upper_real,
-        upper_int=report.upper_int,
-        provenance=provenance,
-        extras=dict(report.extras),
-    )
+    report = s2_report(q, q - 1)
+    hypothesis = "collision count at its average value q-1"
+    return replace(report, provenance={**report.provenance, "hypothesis": hypothesis})
 
 
 def up_invariant(f: FieldPoly) -> int | None:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bounds import BoundReport, _s2_report
+from .bounds import BoundReport, s2_report
 from .functable import EnumerationBudgetError, FunctionTable
 
 ENERGY_ORACLE_BUDGET = 10**8  # max quadruples the brute-force oracle will visit
@@ -55,9 +55,7 @@ class GroupSpec:
                 base *= n
             return out
 
-        g = cls("product", total, op, 0)
-        g.component_orders = orders
-        return g
+        return cls("product", total, op, 0)
 
     @classmethod
     def from_cayley(cls, table) -> "GroupSpec":
@@ -98,9 +96,7 @@ class GroupSpec:
                         raise GroupAxiomError(
                             f"associativity fails at ({a}, {b}, {c})"
                         )
-        g = cls("cayley", n, lambda i, j: table[i][j], identity)
-        g.table = table
-        return g
+        return cls("cayley", n, lambda i, j: table[i][j], identity)
 
 
 @dataclass(frozen=True)
@@ -175,25 +171,17 @@ def energy_bounds(pair: SubsetPair) -> BoundReport:
     """Two-sided bound on |A.B| from the energy: lower (3n - E)/2 clamped to
     1, upper from the pair-collision bound with t = E - n."""
     n = len(pair.a) * len(pair.b)
-    e = energy(pair)
-    t = e - n
-    report = _s2_report(n, t)
+    products = _product_multiplicities(pair)
+    e = sum(m * m for m in products.values())
     lower_real = Fraction(3 * n - e, 2)
-    provenance = {
-        "lower": "energy-deficit bound (3n - E)/2",
-        "upper": "quadratic-root bound with t = E - n",
-    }
+    lower = "energy-deficit bound (3n - E)/2"
     if lower_real < 1:
         lower_real = Fraction(1)
-        provenance["lower"] += " (clamped to 1)"
-    return BoundReport(
-        n=n,
-        s=2,
-        collision_count=t,
+        lower += " (clamped to 1)"
+    return replace(
+        s2_report(n, e - n),
         lower_real=lower_real,
         lower_int=math.ceil(lower_real),
-        upper_real=report.upper_real,
-        upper_int=report.upper_int,
-        provenance=provenance,
-        extras={"energy": e, "product_set_size": len(product_set(pair))},
+        provenance={"lower": lower, "upper": "quadratic-root bound with t = E - n"},
+        extras={"energy": e, "product_set_size": len(products)},
     )

@@ -43,7 +43,7 @@ def load_function_table(source, fmt: str | None = None) -> FunctionTable:
         if not isinstance(obj, dict) or "domain_size" not in obj or "values" not in obj:
             raise InputFormatError('JSON table needs keys "domain_size" and "values"')
         try:
-            return FunctionTable(int(obj["domain_size"]), tuple(int(v) for v in obj["values"]))
+            return FunctionTable(obj["domain_size"], tuple(obj["values"]))
         except (TypeError, ValueError) as exc:
             raise InputFormatError(str(exc)) from exc
     return _function_table_from_csv(text)
@@ -87,21 +87,30 @@ def function_table_to_dict(table: FunctionTable) -> dict:
     return {"domain_size": table.domain_size, "values": list(table.values)}
 
 
+def _json_ints(value, what: str) -> list[int]:
+    """value itself if it is a JSON array of integers (no bools, floats or
+    strings)."""
+    if not isinstance(value, list):
+        raise InputFormatError(f"{what} must be a JSON array of integers")
+    for v in value:
+        if type(v) is not int:
+            raise InputFormatError(f"{what} must hold integers only, got {v!r}")
+    return value
+
+
 def parse_poly_spec(obj: dict) -> FieldPoly:
     """Polynomial spec: {"p": 3, "k": 2, "modulus": [...], "coeffs": [...]}
     with the modulus optional (canonical used when absent) and little-endian
     including its leading 1."""
     if not isinstance(obj, dict):
         raise InputFormatError("polynomial spec must be a JSON object")
-    try:
-        p = int(obj["p"])
-        k = int(obj.get("k", 1))
-        coeffs = [int(c) for c in obj["coeffs"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f'polynomial spec needs integer "p" and "coeffs": {exc}') from exc
+    p, k = obj.get("p"), obj.get("k", 1)
+    if type(p) is not int or type(k) is not int:
+        raise InputFormatError(f'polynomial spec needs integer "p" and "k", got {p!r}, {k!r}')
+    coeffs = _json_ints(obj.get("coeffs"), '"coeffs"')
     modulus = obj.get("modulus")
     if modulus is not None:
-        modulus = [int(c) for c in modulus]
+        modulus = _json_ints(modulus, '"modulus"')
     try:
         spec = FieldSpec(p, k, modulus)
         return FieldPoly(spec, coeffs)
@@ -137,9 +146,7 @@ def load_subset(source: str) -> list[int]:
         arr = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid subset JSON: {exc}") from exc
-    if not isinstance(arr, list) or any(not isinstance(x, int) for x in arr):
-        raise InputFormatError("subset must be a JSON array of integers")
-    return arr
+    return _json_ints(arr, "subset")
 
 
 def load_code_assignment(source) -> tuple[FunctionTable, list[str], list[str]]:

@@ -27,8 +27,8 @@ class FunctionTable:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if self.domain_size <= 0:
-            raise ValueError("domain_size must be positive")
+        if type(self.domain_size) is not int or self.domain_size <= 0:
+            raise ValueError(f"domain_size must be a positive integer, got {self.domain_size!r}")
         if not isinstance(self.values, tuple):
             object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) != self.domain_size:
@@ -36,7 +36,7 @@ class FunctionTable:
                 f"expected {self.domain_size} values, got {len(self.values)}"
             )
         for v in self.values:
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:  # bool is an int subclass
                 raise ValueError(f"codomain labels must be non-negative integers, got {v!r}")
 
     @classmethod

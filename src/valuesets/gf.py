@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 from .functable import FunctionTable
 
@@ -72,17 +72,6 @@ def _fp_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
 def _fp_mod(a: list[int], m: list[int], p: int) -> list[int]:
     """Remainder of a modulo the monic polynomial m."""
     a = list(a)
@@ -113,6 +102,15 @@ def _fp_is_irreducible(poly: list[int], p: int) -> bool:
             if not _fp_mod(poly, div, p):
                 return False
     return True
+
+
+def _monic_irreducibles(p: int, k: int):
+    """Monic irreducibles of degree k over F_p, as tuples, in encoding order
+    of their non-leading coefficients (little-endian base p)."""
+    for enc in range(p**k):
+        cand = _digits_of(enc, p, k) + [1]
+        if _fp_is_irreducible(cand, p):
+            yield tuple(cand)
 
 
 def _digits_of(e: int, p: int, k: int) -> list[int]:
@@ -154,6 +152,31 @@ def _add_table(p: int, k: int) -> list[list[int]]:
     return rows
 
 
+class _OpRow:
+    """Row a of a table op(a, x), each entry computed when read."""
+
+    __slots__ = ("op", "a", "q")
+
+    def __init__(self, op, a: int, q: int):
+        self.op, self.a, self.q = op, a, q
+
+    def __getitem__(self, x: int) -> int:
+        return self.op(self.a, x)
+
+    def __iter__(self):
+        return map(self.op, repeat(self.a, self.q), range(self.q))
+
+
+class _OpRows:
+    """rows[a][x] = op(a, x) without a q x q table."""
+
+    def __init__(self, op, q: int):
+        self.op, self.q = op, q
+
+    def __getitem__(self, a: int) -> _OpRow:
+        return _OpRow(self.op, a, self.q)
+
+
 class FieldSpec:
     """Immutable description of GF(p^k) with table-backed arithmetic on
     integer encodings.  Use :func:`field_build` to construct one.
@@ -177,7 +200,8 @@ class FieldSpec:
             self.modulus = None
         else:
             if modulus is None:
-                modulus = self._canonical_modulus(p, k)
+                # canonical: the least non-leading coefficient encoding
+                modulus = next(_monic_irreducibles(p, k))
             else:
                 modulus = list(modulus)
                 if (
@@ -209,16 +233,6 @@ class FieldSpec:
         self._sub_rows_cache = None
         self._neg_cache = None
         self._trace_mul_cache = None
-
-    @staticmethod
-    def _canonical_modulus(p: int, k: int) -> list[int]:
-        """Monic irreducible of degree k whose non-leading coefficients, read
-        as a little-endian base-p integer, are minimal."""
-        for enc in range(p**k):
-            cand = _digits_of(enc, p, k) + [1]
-            if _fp_is_irreducible(cand, p):
-                return cand
-        raise FieldConstructionError(f"no irreducible of degree {k} over F_{p}")  # unreachable
 
     def _raw_mul(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -308,24 +322,14 @@ class FieldSpec:
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
     def pow(self, x: int, e: int) -> int:
-        """Square-and-multiply exponentiation; negative e via the inverse."""
+        """x^e = exp[log x * e mod (q - 1)]; negative e via the inverse."""
         if e < 0:
             return self.pow(self.inv(x), -e)
         if x == 0:
             return 1 if e == 0 else 0
         if self.k == 1:
             return pow(x, e, self.p)
-        return self._raw_pow_logged(x, e)
-
-    def _raw_pow_logged(self, x: int, e: int) -> int:
-        result = 1
-        base = x
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return self._exp[self._log[x] * e % (self.q - 1)]
 
     def trace_int(self, a: int) -> int:
         """Tr(a) = a + a^p + ... + a^(p^(k-1)), as an encoding in [0, p)."""
@@ -349,23 +353,22 @@ class FieldSpec:
             self._trace_cache = table
         return self._trace_cache[a]
 
-    # -- dense helper tables (condition kernel) ------------------------------
+    # -- helper tables (condition kernel) ------------------------------------
 
-    def _check_table_size(self):
+    def add_rows(self):
+        """add_rows()[a][x] = x + a: a dense q x q table built on first use for
+        q <= TABLE_LIMIT; above that, rows whose entries add computes when
+        read, so no q x q table is built."""
         if self.q > TABLE_LIMIT:
-            raise FieldConstructionError(
-                f"dense q x q tables are limited to q <= {TABLE_LIMIT}, got q = {self.q}"
-            )
-
-    def add_rows(self) -> list[list[int]]:
-        """add_rows()[a][x] = x + a."""
+            return _OpRows(self.add, self.q)  # addition commutes
         if self._add_rows_cache is None:
-            self._check_table_size()
             self._add_rows_cache = _add_table(self.p, self.k)
         return self._add_rows_cache
 
-    def sub_rows(self) -> list[list[int]]:
-        """sub_rows()[u][v] = u - v."""
+    def sub_rows(self):
+        """sub_rows()[u][v] = u - v, dense or computed per entry as add_rows."""
+        if self.q > TABLE_LIMIT:
+            return _OpRows(self.sub, self.q)
         if self._sub_rows_cache is None:
             neg = self._negatives()
             self._sub_rows_cache = [list(map(row.__getitem__, neg)) for row in self.add_rows()]
@@ -382,9 +385,13 @@ class FieldSpec:
         return self._neg_cache
 
     def trace_mul_rows(self) -> list[list[int]]:
-        """trace_mul_rows()[h][c] = Tr(h*c), encodings in [0, p)."""
+        """trace_mul_rows()[h][c] = Tr(h*c), encodings in [0, p); a test
+        oracle, refused above TABLE_LIMIT."""
         if self._trace_mul_cache is None:
-            self._check_table_size()
+            if self.q > TABLE_LIMIT:
+                raise FieldConstructionError(
+                    f"dense q x q tables are limited to q <= {TABLE_LIMIT}, got q = {self.q}"
+                )
             self._trace_mul_cache = [
                 [self.trace_int(self.mul(h, c)) for c in range(self.q)]
                 for h in range(self.q)
@@ -423,12 +430,7 @@ def field_build(p: int, k: int = 1, modulus=None) -> FieldSpec:
 
 def all_irreducible_moduli(p: int, k: int) -> list[tuple[int, ...]]:
     """Every monic irreducible of degree k over F_p, in encoding order."""
-    out = []
-    for enc in range(p**k):
-        cand = _digits_of(enc, p, k) + [1]
-        if _fp_is_irreducible(cand, p):
-            out.append(tuple(cand))
-    return out
+    return list(_monic_irreducibles(p, k))
 
 
 @dataclass(frozen=True)

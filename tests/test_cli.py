@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from valuesets import cli
 from valuesets.cli import main
+from valuesets.conditions import ClassificationSummary
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +58,51 @@ def test_bounds(capsys):
 
 def test_bounds_parity_error(capsys):
     assert main(["bounds", "--n", "10", "--s", "2", "--t", "3"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "10", "--t", "1000"],  # t > P(10, 2) = 90
+        ["--n", "-3", "--t", "2"],
+        ["--n", "0", "--t", "0"],
+        ["--n", "10", "--s", "3", "--t", "100000"],  # t > P(10, 3) = 720
+        ["--n", "10", "--t", "-2"],
+    ],
+)
+def test_bounds_outside_domain_exits_2(capsys, argv):
+    assert main(["bounds", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and ("--n must" in captured.err or "--t must" in captured.err)
+
+
+def test_bounds_domain_boundary(capsys):
+    code, report = run_cli(capsys, "bounds", "--n", "10", "--t", "90")  # a constant map
+    assert code == 0
+    assert report["result"]["lower_int"] <= 1 <= report["result"]["upper_int"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n", "5", "--t", "2", "--jobs", "7"],
+        ["bounds", "--n", "5", "--t", "2", "--seed", "3"],
+        ["field", "--p", "3", "--budget", "9"],
+        ["verify-lemma", "--q", "5", "--jobs", "2"],
+        ["classify", "--q", "3", "--seed", "1"],
+    ],
+)
+def test_subcommands_refuse_options_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_manifest_keeps_default_seed_and_jobs(capsys):
+    _, report = run_cli(capsys, "bounds", "--n", "10", "--t", "4")
+    manifest = report["manifest"]
+    assert (manifest["seed"], manifest["jobs"]) == (0, 1)
+    assert manifest["options"] == {"n": 10, "s": 2, "t": 4, "subcommand": "bounds"}
 
 
 def test_bk(capsys):
@@ -139,6 +186,21 @@ def test_classify(capsys):
     assert r["derived"]["c2_set_equals_c3_set"] is True
 
 
+def test_classify_counts_lattice_violations(capsys, monkeypatch):
+    def fake_classify_all(q, budget, jobs, modulus):
+        return ClassificationSummary(
+            q=3, p=3, k=1, modulus=None, total=27,
+            mask_counts={"0000": 9, "1000": 5, "0010": 4, "1111": 9},
+            witness_indices={"0000": 0, "1000": 1, "0010": 2, "1111": 5},
+            witness_polys={"0000": (), "1000": (1,), "0010": (2,), "1111": (0, 0, 1)},
+        )
+
+    monkeypatch.setattr(cli, "classify_all", fake_classify_all)
+    code, report = run_cli(capsys, "classify", "--q", "3")
+    assert code == 1
+    assert report["result"]["derived"]["lattice_violations"] == 5 + 4
+
+
 def test_classify_budget_exceeded(capsys):
     assert main(["classify", "--q", "9"]) == 2
 
@@ -174,6 +236,17 @@ def test_verify_lemma_poly(capsys):
     )
     assert code == 0
     assert report["result"]["polys"][0]["sum"] == 20
+
+
+def test_json_inputs_accept_only_integers(tmp_path, capsys):
+    table = tmp_path / "t.json"
+    table.write_text('{"domain_size": 3, "values": [true, 1.7, "2"]}')
+    assert main(["stats", str(table)]) == 2
+    assert main(["test-conditions", "--poly", '{"p": 7.9, "coeffs": [true, 0, 1.5]}']) == 2
+    assert main(["verify-lemma", "--poly", '{"p": 7, "coeffs": [0, 0, true]}']) == 2
+    assert main(["energy", "--cyclic", "5", "--a", "[true, 2]", "--b", "[0]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 4
 
 
 def test_energy_cyclic(capsys):

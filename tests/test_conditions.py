@@ -1,13 +1,16 @@
+import itertools
 import random
 
 import pytest
 
 from valuesets.conditions import (
     ClassificationBudgetError,
+    ConditionProfile,
     classify_all,
     condition_profile,
     difference_table,
     index_to_values,
+    mask_lattice_ok,
     n2_poly,
     poly_version_bounds,
     profile_from_values,
@@ -84,6 +87,16 @@ def test_pure_quartic_separates_c1_from_c2_c3():
     assert (profile.c1, profile.c2, profile.c3, profile.c4) == (False, True, True, True)
     assert profile.n2 == 6
     assert profile.lattice_ok()
+
+
+def test_mask_lattice_admits_exactly_the_consistent_masks():
+    masks = ["".join(bits) for bits in itertools.product("01", repeat=4)]
+    ok = {m for m in masks if mask_lattice_ok(m)}
+    assert ok == {"0000", "0001", "0011", "0101", "0111", "1111"}
+    for m in masks:
+        c1, c2, c3, c4 = (b == "1" for b in m)
+        profile = ConditionProfile(c1, c2, c3, c4, n2=0)
+        assert profile.lattice_ok() == (m in ok)
 
 
 def test_constant_profile():

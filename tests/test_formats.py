@@ -35,6 +35,21 @@ def test_json_length_mismatch(tmp_path):
         load_function_table(path)
 
 
+def test_json_table_accepts_only_integers(tmp_path):
+    path = tmp_path / "bad.json"
+    for text in (
+        '{"domain_size": 3, "values": [true, 1.7, "2"]}',
+        '{"domain_size": 3, "values": [0, 1, true]}',
+        '{"domain_size": 2, "values": [0, 1.0]}',
+        '{"domain_size": 2.0, "values": [0, 1]}',
+        '{"domain_size": true, "values": [0]}',
+        '{"domain_size": 2, "values": 5}',
+    ):
+        path.write_text(text)
+        with pytest.raises(InputFormatError):
+            load_function_table(path)
+
+
 def test_csv_table(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("x,fx\n0,5\n2,5\n1,9\n")
@@ -80,6 +95,22 @@ def test_poly_rejects_bad_specs():
         load_poly('{"p": 4, "coeffs": [1]}')
 
 
+def test_poly_spec_accepts_only_integers():
+    for spec in (  # only JSON integers: no bools, floats or strings
+        '{"p": 7.9, "coeffs": [true, 0, 1.5]}',
+        '{"p": 7, "coeffs": [true, 0, 1]}',
+        '{"p": 7, "coeffs": [1, 0, 1.5]}',
+        '{"p": "7", "coeffs": [1]}',
+        '{"p": 7, "coeffs": "1"}',
+        '{"p": 3, "k": 2.0, "coeffs": [1]}',
+        '{"p": 3, "k": true, "coeffs": [1]}',
+        '{"p": 3, "k": 2, "modulus": [1, 0, true], "coeffs": [1]}',
+        '{"p": 3, "k": 2, "modulus": "1,0,1", "coeffs": [1]}',
+    ):
+        with pytest.raises(InputFormatError):
+            load_poly(spec)
+
+
 def test_subset_inline_and_file(tmp_path):
     assert load_subset("[3, 1, 2]") == [3, 1, 2]
     path = tmp_path / "subset.json"
@@ -87,6 +118,12 @@ def test_subset_inline_and_file(tmp_path):
     assert load_subset(str(path)) == [0, 4]
     with pytest.raises(InputFormatError):
         load_subset('["a"]')
+
+
+def test_subset_accepts_only_integers():
+    for text in ("[true, 2]", "[1.0]", '["1"]'):
+        with pytest.raises(InputFormatError):
+            load_subset(text)
 
 
 def test_cayley_csv(tmp_path):

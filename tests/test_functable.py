@@ -93,6 +93,14 @@ def test_validation():
         FunctionTable.from_values([0, -1])
 
 
+def test_validation_accepts_only_ints():
+    for bad in ([0, True], [0, 1.0], [0, "1"]):  # bool is an int subclass
+        with pytest.raises(ValueError):
+            FunctionTable.from_values(bad)
+    with pytest.raises(ValueError):
+        FunctionTable(True, (0,))
+
+
 def test_exhaustive_small_oracle_agreement():
     for n in range(1, 5):
         for values in itertools.product(range(3), repeat=n):

@@ -293,10 +293,33 @@ def test_large_extension_field_adds_digits_without_tables():
     spec = field_build(3, 7)
     assert spec.q == 2187 > TABLE_LIMIT
     rng = random.Random(6)
-    _check_arithmetic(spec, [(rng.randrange(spec.q), rng.randrange(spec.q)) for _ in range(2000)])
+    pairs = [(rng.randrange(spec.q), rng.randrange(spec.q)) for _ in range(2000)]
+    _check_arithmetic(spec, pairs)
+    # above the limit the rows are views whose entries add and sub compute
+    rows, subs = spec.add_rows(), spec.sub_rows()
+    assert not isinstance(rows, list) and not isinstance(subs, list)
+    for a, b in pairs:
+        assert rows[a][b] == spec.add(a, b) and subs[a][b] == spec.sub(a, b)
+    assert list(rows[5]) == [spec.add(x, 5) for x in range(spec.q)]
+    assert list(subs[5]) == [spec.sub(5, x) for x in range(spec.q)]
     assert spec._add_rows_cache is None and spec._sub_rows_cache is None  # no q x q table
     with pytest.raises(FieldConstructionError):
-        spec.add_rows()
+        spec.trace_mul_rows()  # a test oracle, refused above the limit
+
+
+def test_pow_matches_repeated_multiplication():
+    # the digit-convolution product, which does not read the log tables
+    for p, k in ((2, 2), (2, 3), (3, 2), (5, 2)):
+        spec = field_build(p, k)
+        for x in range(1, spec.q):
+            acc = 1
+            for e in range(2 * spec.q + 1):
+                assert spec.pow(x, e) == acc, (p, k, x, e)
+                assert spec._raw_mul(spec.pow(x, -e), acc) == 1, (p, k, x, -e)
+                acc = spec._raw_mul(acc, x)
+        assert spec.pow(0, 0) == 1 and spec.pow(0, 3) == 0
+        with pytest.raises(ZeroDivisionError):
+            spec.pow(0, -1)
 
 
 def test_trace_table_matches_definition():

@@ -152,7 +152,6 @@ def test_per_entry_rows_match_dense_tables(monkeypatch):
         cases.append(((p, k), tables, dense, [f.coeffs for f in polys], dense_tests))
 
     monkeypatch.setattr(gf, "TABLE_LIMIT", 1)
-    monkeypatch.setattr(conditions, "TABLE_LIMIT", 1)
     for (p, k), tables, dense, coeffs, dense_tests in cases:
         spec = field_build(p, k)
         assert [profile_from_values(spec, v) for v in tables] == dense
