@@ -11,7 +11,7 @@ B_k, computed by dynamic programming.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .functable import FunctionTable
@@ -134,31 +134,25 @@ def upper_bound_exact(n: int, s: int, t: int) -> int:
     return n - (-(-t // denom))
 
 
-def _s2_gap(t: int) -> int:
-    """Integer gap g with V <= n - g from the s = 2 closed-form upper bound.
-
-    The bound n - 2t/(1+sqrt(4t+1)) equals n - (sqrt(4t+1)-1)/2, so its floor
-    is computed exactly from the integer square root of 4t+1; no floating
-    point is involved.
-    """
-    d = 4 * t + 1
-    i = math.isqrt(d)
-    if i * i == d:
-        return (i - 1) // 2  # i is odd, the bound is attained exactly
-    return (i + 1) // 2 if i % 2 else i // 2
-
-
 def s2_report(n: int, t: int) -> BoundReport:
     """The closed-form s = 2 report for N_2 = t, without checking t: the
-    applications (planar functions, product sets) derive theirs from it."""
-    lower_real = Fraction(n) - Fraction(t, 2)
-    gap = _s2_gap(t)
+    applications (planar functions, product sets) derive theirs from it.
+
+    The upper bound n - 2t/(1+sqrt(4t+1)) equals n - (sqrt(4t+1)-1)/2, so
+    its floor n - gap comes exactly from i = isqrt(4t+1); no floating point
+    is involved.  When 4t+1 = i^2 (i odd) the bound is attained exactly;
+    otherwise (sqrt(4t+1)-1)/2 lies strictly between (i-1)/2 and i/2, so its
+    ceiling, the gap, is (i+1)//2.
+    """
+    lower_real = Fraction(2 * n - t, 2)
     d = 4 * t + 1
     i = math.isqrt(d)
     if i * i == d:
-        upper_real: Fraction | float = Fraction(n) - Fraction(i - 1, 2)
+        upper_real: Fraction | float = Fraction(2 * n - i + 1, 2)
+        gap = (i - 1) // 2
     else:
         upper_real = n - (math.sqrt(d) - 1.0) / 2.0  # diagnostic only
+        gap = (i + 1) // 2
     return BoundReport(
         n=n,
         s=2,
@@ -286,26 +280,23 @@ def bound_report(n: int, s: int, t: int) -> BoundReport:
     if s == 2:
         report = bounds_s2(n, t)
         refined = upper_bound_refined_s2(n, t)
-        exact = upper_bound_exact(n, s, t)
-        extras = dict(report.extras)
-        extras["upper_int_max_multiplicity"] = exact
-        extras["upper_int_refined"] = refined
-        extras["b_k"] = n - refined
-        provenance = dict(report.provenance)
-        provenance["upper_refined"] = "triangular-weight refinement n - B_{t/2}"
-        provenance["upper_max_multiplicity"] = (
-            "collision-capacity bound n - ceil(t / (m* P(m*-2, s-2)))"
-        )
-        return BoundReport(
-            n=n,
-            s=2,
-            collision_count=t,
-            lower_real=report.lower_real,
-            lower_int=report.lower_int,
-            upper_real=report.upper_real,
+        exact = upper_bound_exact(n, 2, t)
+        return replace(
+            report,
             upper_int=min(report.upper_int, refined, exact),
-            provenance=provenance,
-            extras=extras,
+            provenance={
+                **report.provenance,
+                "upper_refined": "triangular-weight refinement n - B_{t/2}",
+                "upper_max_multiplicity": (
+                    "collision-capacity bound n - ceil(t / (m* P(m*-2, s-2)))"
+                ),
+            },
+            extras={
+                **report.extras,
+                "upper_int_max_multiplicity": exact,
+                "upper_int_refined": refined,
+                "b_k": n - refined,
+            },
         )
     low_real, low_int = lower_bound(n, s, t)
     upper = upper_bound_exact(n, s, t)

@@ -32,7 +32,6 @@ from .bounds import BoundReport, s2_report
 from .functable import FunctionTable
 from .gf import (
     CharacterCountVector,
-    FieldElement,
     FieldPoly,
     FieldSpec,
     char_sum_sq_is_q,
@@ -140,8 +139,7 @@ def difference_values(spec: FieldSpec, values, a: int) -> list[int]:
 
 def difference_table(f: FieldPoly, a) -> FunctionTable:
     """FunctionTable of the difference map of f with shift a != 0."""
-    av = a.value if isinstance(a, FieldElement) else int(a)
-    vals = difference_values(f.spec, poly_values(f), av)
+    vals = difference_values(f.spec, poly_values(f), f.spec.encoding(a))
     return FunctionTable(f.spec.q, tuple(vals))
 
 

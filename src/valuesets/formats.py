@@ -23,19 +23,15 @@ def _read_text(source) -> str:
     return Path(source).read_text()
 
 
-def load_function_table(source, fmt: str | None = None) -> FunctionTable:
+def load_function_table(source) -> FunctionTable:
     """Load a FunctionTable from JSON ({"domain_size": n, "values": [...]})
-    or two-column CSV rows x,f(x) with x = 0..n-1 each appearing once."""
+    or two-column CSV rows x,f(x) with x = 0..n-1 each appearing once.  The
+    format follows the file extension, else the content."""
     text = _read_text(source)
-    if fmt is None:
-        name = str(source) if not hasattr(source, "read") else ""
-        if name.endswith(".json"):
-            fmt = "json"
-        elif name.endswith(".csv"):
-            fmt = "csv"
-        else:
-            fmt = "json" if text.lstrip().startswith("{") else "csv"
-    if fmt == "json":
+    name = "" if hasattr(source, "read") else str(source)
+    if name.endswith(".json") or (
+        not name.endswith(".csv") and text.lstrip().startswith("{")
+    ):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -79,7 +75,7 @@ def _is_int_row(row) -> bool:
 
 
 def save_function_table(table: FunctionTable, path) -> None:
-    payload = {"domain_size": table.domain_size, "values": list(table.values)}
+    payload = function_table_to_dict(table)
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -3,8 +3,10 @@
 Elements are canonical integers in [0, q): the base-p digits of an encoding
 are the coordinates in the polynomial basis of the chosen irreducible
 modulus.  That encoding gives a total order used for canonical witnesses and
-for primitive-element enumeration.  Intended for desk-scale fields
-(q up to ~10^4); irreducibility is certified by trial division.
+for primitive-element enumeration.  Every element argument is an element of
+the same field or an int encoding in [0, q); anything else raises ValueError
+(FieldSpec.encoding).  Intended for desk-scale fields (q up to ~10^4);
+irreducibility is certified by trial division.
 """
 
 from __future__ import annotations
@@ -23,17 +25,6 @@ class FieldConstructionError(ValueError):
     """Invalid field parameters (non-prime p, reducible modulus, ...)."""
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors by trial division."""
     out = []
@@ -47,6 +38,10 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int]:
@@ -187,10 +182,10 @@ class FieldSpec:
     fields reduce mod p."""
 
     def __init__(self, p: int, k: int, modulus=None):
-        if not is_prime(p):
-            raise FieldConstructionError(f"{p} is not prime")
-        if k < 1:
-            raise FieldConstructionError("extension degree must be >= 1")
+        if type(p) is not int or not is_prime(p):
+            raise FieldConstructionError(f"{p!r} is not prime")
+        if type(k) is not int or k < 1:
+            raise FieldConstructionError(f"extension degree must be an int >= 1, got {k!r}")
         self.p = p
         self.k = k
         self.q = p**k
@@ -207,7 +202,7 @@ class FieldSpec:
                 if (
                     len(modulus) != k + 1
                     or modulus[-1] != 1
-                    or any(not (0 <= c < p) for c in modulus)
+                    or any(type(c) is not int or not 0 <= c < p for c in modulus)
                 ):
                     raise FieldConstructionError(
                         "modulus must be monic of degree k with coefficients in [0, p)"
@@ -400,6 +395,19 @@ class FieldSpec:
 
     # -- element / misc ------------------------------------------------------
 
+    def encoding(self, x) -> int:
+        """The encoding of an element argument: x itself if it is an int in
+        [0, q), x.value if it is an element of this field.  Anything else
+        (bools, floats, strings, out-of-range ints, elements of another
+        field) raises ValueError."""
+        if isinstance(x, FieldElement):
+            if x.spec != self:
+                raise ValueError("element from a different field")
+            return x.value
+        if type(x) is not int or not 0 <= x < self.q:
+            raise ValueError(f"expected an element or an int encoding in [0, {self.q}), got {x!r}")
+        return x
+
     def element(self, value: int) -> "FieldElement":
         return FieldElement(self, value)
 
@@ -439,38 +447,19 @@ class FieldElement:
     value: int
 
     def __post_init__(self):
-        if not 0 <= self.value < self.spec.q:
-            raise ValueError(f"encoding {self.value} out of range [0, {self.spec.q})")
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise ValueError("elements belong to different fields")
-            return other.value
-        if isinstance(other, int):
-            if self.spec.k == 1:
-                return other % self.spec.q  # residue semantics in prime fields
-            if not 0 <= other < self.spec.q:
-                raise ValueError(
-                    f"int operand must be an element encoding in [0, {self.spec.q})"
-                )
-            return other
-        return NotImplemented
+        object.__setattr__(self, "value", self.spec.encoding(self.value))
 
     def __add__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.spec, self.spec.add(self.value, v))
+        return FieldElement(self.spec, self.spec.add(self.value, self.spec.encoding(other)))
 
     def __sub__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.spec, self.spec.sub(self.value, v))
+        return FieldElement(self.spec, self.spec.sub(self.value, self.spec.encoding(other)))
 
     def __neg__(self):
         return FieldElement(self.spec, self.spec.neg(self.value))
 
     def __mul__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.spec, self.spec.mul(self.value, v))
+        return FieldElement(self.spec, self.spec.mul(self.value, self.spec.encoding(other)))
 
     def __pow__(self, e: int):
         return FieldElement(self.spec, self.spec.pow(self.value, e))
@@ -506,17 +495,7 @@ class FieldPoly:
 
     def __init__(self, spec: FieldSpec, coeffs):
         self.spec = spec
-        vals = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.spec != spec:
-                    raise ValueError("coefficient from a different field")
-                vals.append(c.value)
-            else:
-                c = int(c)
-                if not 0 <= c < spec.q:
-                    raise ValueError(f"coefficient encoding {c} out of range")
-                vals.append(c)
+        vals = [spec.encoding(c) for c in coeffs]
         while vals and vals[-1] == 0:
             vals.pop()
         self.coeffs = tuple(vals)
@@ -543,16 +522,7 @@ class FieldPoly:
 def poly_eval(f: FieldPoly, x) -> FieldElement:
     """Horner evaluation."""
     spec = f.spec
-    if isinstance(x, FieldElement):
-        if x.spec != spec:
-            raise ValueError("point from a different field")
-        xv = x.value
-    else:
-        xv = int(x)
-        if spec.k == 1:
-            xv %= spec.p
-        elif not 0 <= xv < spec.q:
-            raise ValueError(f"point encoding {xv} out of range [0, {spec.q})")
+    xv = spec.encoding(x)
     acc = 0
     for c in reversed(f.coeffs):
         acc = spec.add(spec.mul(acc, xv), c)
@@ -672,8 +642,7 @@ def char_count_vector_from_values(spec: FieldSpec, values, h: int) -> CharacterC
 
 def char_count_vector(f: FieldPoly, h) -> CharacterCountVector:
     """Count vector of f for the additive character indexed by h != 0."""
-    hv = h.value if isinstance(h, FieldElement) else int(h)
-    return char_count_vector_from_values(f.spec, poly_values(f), hv)
+    return char_count_vector_from_values(f.spec, poly_values(f), f.spec.encoding(h))
 
 
 def char_sum_sq_is_q(v: CharacterCountVector) -> bool:
@@ -691,7 +660,7 @@ def char_sum_abs_float(f: FieldPoly, h) -> float:
     """|sum_x w^Tr(h f(x))| in floating point; diagnostic companion of the
     exact test (h = 0 gives exactly q)."""
     spec = f.spec
-    hv = h.value if isinstance(h, FieldElement) else int(h)
+    hv = spec.encoding(h)
     omega = cmath.exp(2j * cmath.pi / spec.p)
     total = 0j
     for value in poly_values(f):

@@ -192,6 +192,55 @@ def test_bound_report_s2_merges_refinement():
     assert d["collision_count"] == 6 and d["extras"]["b_k"] == 2
 
 
+def test_bound_report_s2_is_assembled_from_its_parts():
+    for n in range(1, 41):
+        for t in range(0, n * (n - 1) + 1, 2):
+            base = bounds_s2(n, t)
+            refined = upper_bound_refined_s2(n, t)
+            exact = upper_bound_exact(n, 2, t)
+            i = math.isqrt(4 * t + 1)
+            square = i * i == 4 * t + 1  # t = r(r+1), e.g. t = 2, 6, 12
+            lower = Fraction(2 * n - t, 2)
+            expected = {
+                "n": n,
+                "s": 2,
+                "collision_count": t,
+                "lower_real": float(base.lower_real),
+                "lower_real_exact": f"{lower.numerator}/{lower.denominator}",
+                "lower_int": base.lower_int,
+                "upper_real": float(base.upper_real),
+                "upper_real_exact": f"{n - (i - 1) // 2}/1" if square else None,
+                "upper_int": min(base.upper_int, refined, exact),
+                "provenance": {
+                    "lower": "pair-deficit bound n - t/2",
+                    "upper": "quadratic-root bound n - 2t/(1+sqrt(4t+1))",
+                    "upper_refined": "triangular-weight refinement n - B_{t/2}",
+                    "upper_max_multiplicity": (
+                        "collision-capacity bound n - ceil(t / (m* P(m*-2, s-2)))"
+                    ),
+                },
+                "extras": {
+                    "m1_lower": max(0, n - t),
+                    "upper_int_max_multiplicity": exact,
+                    "upper_int_refined": refined,
+                    "b_k": n - refined,
+                },
+            }
+            got = bound_report(n, 2, t).to_dict()
+            assert got == expected, (n, t)
+            assert list(got) == list(expected), (n, t)  # key order reaches the JSON
+            for key in ("provenance", "extras"):
+                assert list(got[key]) == list(expected[key]), (n, t, key)
+            # the closed form: n - g with g the least integer >= (sqrt(4t+1) - 1)/2
+            g = 0
+            while (2 * g + 1) ** 2 < 4 * t + 1:
+                g += 1
+            assert base.lower_real == lower and base.lower_int == math.ceil(lower)
+            assert base.upper_int == n - g, (n, t)
+    for n, t in ((10, 2), (10, 6), (10, 12)):
+        assert bound_report(n, 2, t).to_dict()["upper_real_exact"] is not None
+
+
 def test_bound_report_general_s():
     r = bound_report(10, 3, 6)
     assert (r.lower_int, r.upper_int) == (5, 8)

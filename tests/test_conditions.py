@@ -311,3 +311,17 @@ def test_f9_separating_examples_every_primitive_and_modulus():
             f8g = poly(spec, [0, 0, g.value, 0, 0, 0, 0, 0, 1])
             p8 = condition_profile(f8g)
             assert (p8.c2, p8.c3) == (False, True)
+
+
+def test_difference_table_shift_follows_the_element_rule():
+    f = poly(F9, [0, 0, 1])
+    other = field_build(3, 2, [2, 1, 1])
+    for a in (True, 1.0, 2.7, "3", -1, 9, 20, other.element(1), F7.element(1)):
+        with pytest.raises(ValueError):
+            difference_table(f, a)
+    for a in range(1, 9):
+        table = difference_table(f, a)
+        assert difference_table(f, F9.element(a)) == table
+        assert table.values == tuple(
+            F9.sub(F9.mul(F9.add(x, a), F9.add(x, a)), F9.mul(x, x)) for x in range(9)
+        )

@@ -339,3 +339,97 @@ def test_poly_values_hands_out_copies():
     first[0] = (first[0] + 1) % 9
     assert poly_values(f) != first
     assert poly_values(f) == list(poly_table(FieldPoly(F9, [1, 0, 3])).values)
+
+
+# -- element arguments: one rule (FieldSpec.encoding) at every entry point --
+
+F9_OTHER = field_build(3, 2, [2, 1, 1])  # GF(9) under another modulus
+
+
+def _bad_arguments(spec):
+    """Arguments that are not elements of spec: bools, floats, strings,
+    negative and out-of-range ints, and elements of another field."""
+    other = F9_OTHER if spec == F9 else F9
+    return [True, False, 1.0, 2.7, "3", -1, spec.q, 20, other.element(1)]
+
+
+def _element_entry_points(spec):
+    """Every library call that takes a field-element argument x over spec."""
+    f = FieldPoly(spec, [1, 0, 1])  # X^2 + 1
+    e = spec.element(1)
+    return {
+        "encoding": spec.encoding,
+        "element": spec.element,
+        "add": lambda x: e + x,
+        "sub": lambda x: e - x,
+        "mul": lambda x: e * x,
+        "coeff": lambda x: FieldPoly(spec, [0, x]),
+        "poly_eval": lambda x: poly_eval(f, x),
+        "char_count_vector": lambda x: char_count_vector(f, x),
+        "char_sum_abs_float": lambda x: char_sum_abs_float(f, x),
+    }
+
+
+@pytest.mark.parametrize("spec", [F7, F9], ids=["GF7", "GF9"])
+def test_element_arguments_outside_the_field_are_refused(spec):
+    for name, call in _element_entry_points(spec).items():
+        for x in _bad_arguments(spec):
+            with pytest.raises(ValueError):
+                call(x)
+                pytest.fail(f"{name}({x!r}) over GF({spec.q}) was accepted")
+
+
+def test_element_rule_cases_that_used_to_pass():
+    f = FieldPoly(F9, [0, 0, 1])
+    g = FieldPoly(F7, [0, 0, 1])
+    with pytest.raises(ValueError):
+        char_count_vector(f, -1)  # once a negative list index: encoding 8, not 2
+    with pytest.raises(ValueError):
+        char_count_vector(f, 20)  # once an IndexError
+    with pytest.raises(ValueError):
+        char_count_vector(g, 7)  # once the trivial character (49, 0, ..., 0)
+    with pytest.raises(ValueError):
+        FieldPoly(F7, [True, 1.9, "3"])  # once coeffs (1, 1, 3)
+    with pytest.raises(ValueError):
+        poly_eval(g, 2.7)  # once evaluated at 2
+    with pytest.raises(ValueError):
+        F7.element(True)  # once stored value True
+    with pytest.raises(ValueError):
+        F7.element(3) + 10  # prime fields no longer reduce int operands mod p
+
+
+@pytest.mark.parametrize("spec", [F7, F9], ids=["GF7", "GF9"])
+def test_same_field_elements_and_in_range_ints_agree(spec):
+    q = spec.q
+    f = FieldPoly(spec, [2, 1, 0, 1])  # X^3 + X + 2
+    values = poly_values(f)
+    assert FieldPoly(spec, [spec.element(c) for c in (2, 1, 0, 1)]) == f
+    for x in range(q):
+        e = spec.element(x)
+        assert spec.encoding(x) == spec.encoding(e) == x
+        assert type(e.value) is int and spec.element(e) == e
+        assert poly_eval(f, x) == poly_eval(f, e) == spec.element(values[x])
+        one = spec.element(1)
+        assert (one + x).value == (one + e).value == spec.add(1, x)
+        assert (one - x).value == (one - e).value == spec.sub(1, x)
+        assert (one * x).value == (one * e).value == x
+        assert char_sum_abs_float(f, x) == char_sum_abs_float(f, e)
+        if x:
+            expected = char_count_vector_from_values(spec, values, x)
+            assert char_count_vector(f, x) == char_count_vector(f, e) == expected
+    assert (F7.element(3) + 4).value == 0
+    assert (F9.element(3) + 3).value == 6  # alpha + alpha = 2 alpha
+
+
+def test_field_spec_refuses_non_int_parameters():
+    with pytest.raises(FieldConstructionError):
+        FieldSpec(3, True)
+    with pytest.raises(FieldConstructionError):
+        FieldSpec(3, 2.0)
+    with pytest.raises(FieldConstructionError):
+        FieldSpec(7.0, 1)
+    with pytest.raises(FieldConstructionError):
+        FieldSpec(3, 2, [1, 0, True])
+    with pytest.raises(FieldConstructionError):
+        FieldSpec(3, 2, [1.0, 0, 1])
+    assert FieldSpec(3, 2, [1, 0, 1]) == F9
