@@ -41,35 +41,27 @@ from .energy import (
     SubsetPair,
     energy,
     energy_bounds,
-    energy_oracle,
     multiplication_table,
     n2_from_energy,
     product_set,
 )
 from .functable import (
-    EnumerationBudgetError,
     FunctionTable,
     MultiplicitySpectrum,
     collision_count,
-    collision_count_oracle,
     falling_factorial,
     image_count,
     spectrum,
 )
 from .gf import (
-    CharacterCountVector,
     FieldConstructionError,
     FieldElement,
     FieldPoly,
     FieldSpec,
-    char_count_vector,
-    char_sum_abs_float,
-    char_sum_sq_is_q,
     field_build,
     interpolate,
     is_primitive,
     poly_eval,
     poly_table,
     primitive_elements,
-    reduce_mod_qx,
 )

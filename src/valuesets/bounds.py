@@ -283,7 +283,7 @@ def bound_report(n: int, s: int, t: int) -> BoundReport:
         exact = upper_bound_exact(n, 2, t)
         return replace(
             report,
-            upper_int=min(report.upper_int, refined, exact),
+            upper_int=min(report.upper_int, refined),
             provenance={
                 **report.provenance,
                 "upper_refined": "triangular-weight refinement n - B_{t/2}",

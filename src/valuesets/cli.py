@@ -47,7 +47,6 @@ from .formats import (
     load_subset,
 )
 from .functable import (
-    EnumerationBudgetError,
     FunctionTable,
     collision_count,
     image_count,
@@ -379,7 +378,7 @@ def main(argv=None) -> int:
     args._digests = {}
     try:
         result, code = args.handler(args)
-    except (ValueError, OSError, EnumerationBudgetError, ClassificationBudgetError) as exc:
+    except (ValueError, OSError, ClassificationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {"manifest": _build_manifest(args), "result": result}

@@ -30,15 +30,7 @@ from dataclasses import dataclass, replace
 
 from .bounds import BoundReport, s2_report
 from .functable import FunctionTable
-from .gf import (
-    CharacterCountVector,
-    FieldPoly,
-    FieldSpec,
-    char_sum_sq_is_q,
-    interpolate,
-    poly_values,
-    prime_power_decomposition,
-)
+from .gf import FieldPoly, FieldSpec, interpolate, poly_values, prime_power_decomposition
 
 CLASSIFY_BUDGET = 1_000_000  # default cap on q**q table enumerations
 
@@ -193,17 +185,21 @@ def _c2_holds(counts, n2: int, sub) -> bool:
 
 def _c2_scan(spec: FieldSpec, counts, n2: int, sub) -> int | None:
     """First h != 0 with |S_h|^2 != q, else None.  Only a table failing the
-    integer test is scanned: the trace counts d[j] of character h are sums
-    of difference counts, O(q) per h."""
+    integer test is scanned: the trace counts d[j] = #{(x, y) :
+    Tr(h (f(x) - f(y))) = j} of character h are sums of difference counts,
+    O(q) per h.  |S_h|^2 = sum_j d[j] w^j for a primitive p-th root of unity
+    w, whose minimal polynomial is 1 + X + ... + X^(p-1), so it equals q iff
+    d[0] - q = d[1] = ... = d[p-1]."""
     if _c2_holds(counts, n2, sub):
         return None
+    q = spec.q
     c = _difference_counts(counts, sub)
     support = [u for u, cu in enumerate(c) if cu]
-    for h in range(1, spec.q):
+    for h in range(1, q):
         d = [0] * spec.p
         for u in support:
             d[spec.trace_int(spec.mul(h, u))] += c[u]
-        if not char_sum_sq_is_q(CharacterCountVector(spec, h, tuple(d))):
+        if any(dj != d[0] - q for dj in d[1:]):
             return h
     raise AssertionError("integer C2 test failed but every |S_h|^2 equals q")
 

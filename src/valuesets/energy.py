@@ -14,9 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bounds import BoundReport, s2_report
-from .functable import EnumerationBudgetError, FunctionTable
-
-ENERGY_ORACLE_BUDGET = 10**8  # max quadruples the brute-force oracle will visit
+from .functable import FunctionTable
 
 
 class GroupAxiomError(ValueError):
@@ -34,15 +32,15 @@ class GroupSpec:
 
     @classmethod
     def cyclic(cls, n: int) -> "GroupSpec":
-        if n < 1:
-            raise GroupAxiomError("cyclic group order must be positive")
+        if type(n) is not int or n < 1:
+            raise GroupAxiomError(f"cyclic group order must be a positive int, got {n!r}")
         return cls("cyclic", n, lambda i, j: (i + j) % n, 0)
 
     @classmethod
     def product_of_cyclics(cls, orders) -> "GroupSpec":
         orders = tuple(orders)
-        if not orders or any(n < 1 for n in orders):
-            raise GroupAxiomError("component orders must be positive")
+        if not orders or any(type(n) is not int or n < 1 for n in orders):
+            raise GroupAxiomError(f"component orders must be positive ints, got {orders!r}")
         total = math.prod(orders)
 
         def op(i: int, j: int) -> int:
@@ -66,7 +64,7 @@ class GroupSpec:
             raise GroupAxiomError("Cayley table must be square and non-empty")
         for row in table:
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
+                if type(v) is not int or not 0 <= v < n:
                     raise GroupAxiomError(f"entry {v!r} is not an element index")
         full = set(range(n))
         for i in range(n):
@@ -106,15 +104,17 @@ class SubsetPair:
     b: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(sorted(self.a)))
-        object.__setattr__(self, "b", tuple(sorted(self.b)))
-        for name, subset in (("A", self.a), ("B", self.b)):
+        for name, attr in (("A", "a"), ("B", "b")):
+            subset = tuple(getattr(self, attr))
             if not subset:
                 raise ValueError(f"subset {name} must be non-empty")
+            if any(type(x) is not int or not 0 <= x < self.group.order for x in subset):
+                raise ValueError(
+                    f"subset {name} has elements that are not int indices in [0, {self.group.order})"
+                )
             if len(set(subset)) != len(subset):
                 raise ValueError(f"subset {name} has duplicate elements")
-            if any(not 0 <= x < self.group.order for x in subset):
-                raise ValueError(f"subset {name} has out-of-range indices")
+            object.__setattr__(self, attr, tuple(sorted(subset)))
 
 
 def _product_multiplicities(pair: SubsetPair) -> Counter:
@@ -134,25 +134,6 @@ def product_set(pair: SubsetPair) -> tuple[int, ...]:
 def energy(pair: SubsetPair) -> int:
     """E(A, B): quadruples with ab = a'b', via squared product multiplicities."""
     return sum(m * m for m in _product_multiplicities(pair).values())
-
-
-def energy_oracle(pair: SubsetPair, budget: int = ENERGY_ORACLE_BUDGET) -> int:
-    """Count the quadruples literally; refuses rather than truncates."""
-    quads = (len(pair.a) * len(pair.b)) ** 2
-    if quads > budget:
-        raise EnumerationBudgetError(
-            f"enumerating {quads} quadruples exceeds budget {budget}"
-        )
-    op = pair.group.op
-    total = 0
-    for a in pair.a:
-        for b in pair.b:
-            ab = op(a, b)
-            for a2 in pair.a:
-                for b2 in pair.b:
-                    if op(a2, b2) == ab:
-                        total += 1
-    return total
 
 
 def n2_from_energy(pair: SubsetPair) -> int:

@@ -12,12 +12,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-ORACLE_BUDGET = 10**8  # max n**s a brute-force oracle will accept
-
-
-class EnumerationBudgetError(RuntimeError):
-    """A brute-force oracle refused to run because it would exceed its budget."""
-
 
 @dataclass(frozen=True)
 class FunctionTable:
@@ -116,40 +110,3 @@ def collision_count(f: FunctionTable, s: int) -> int:
         raise ValueError("collision order s must be >= 2")
     spec = spectrum(f)
     return sum(math.perm(r, s) * spec.counts[r] for r in range(s, spec.m + 1))
-
-
-def collision_count_oracle(f: FunctionTable, s: int, budget: int = ORACLE_BUDGET) -> int:
-    """Count the same tuples by direct enumeration, for cross-checking.
-
-    Walks every ordered s-tuple of distinct domain points with a common image
-    and counts one per tuple.  Refuses (rather than truncates) when the
-    worst-case tuple space n**s exceeds the budget.
-    """
-    if s < 2:
-        raise ValueError("collision order s must be >= 2")
-    n = f.domain_size
-    if n**s > budget:
-        raise EnumerationBudgetError(
-            f"enumerating up to {n}^{s} = {n**s} tuples exceeds budget {budget}"
-        )
-    positions: dict[int, list[int]] = {}
-    for i, v in enumerate(f.values):
-        positions.setdefault(v, []).append(i)
-
-    total = 0
-    chosen: list[int] = []
-
-    def extend(candidates: list[int], depth: int):
-        nonlocal total
-        if depth == s:
-            total += 1
-            return
-        for x in candidates:
-            if x not in chosen:
-                chosen.append(x)
-                extend(candidates, depth + 1)
-                chosen.pop()
-
-    for group in positions.values():
-        extend(group, 0)
-    return total

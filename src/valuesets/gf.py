@@ -1,4 +1,4 @@
-"""Explicit model of GF(p^k): arithmetic, trace, additive characters, polynomials.
+"""Explicit model of GF(p^k): arithmetic, trace, polynomials.
 
 Elements are canonical integers in [0, q): the base-p digits of an encoding
 are the coordinates in the polynomial basis of the chosen irreducible
@@ -11,8 +11,6 @@ irreducibility is certified by trial division.
 
 from __future__ import annotations
 
-import cmath
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -563,19 +561,6 @@ def poly_table(f: FieldPoly) -> FunctionTable:
     return FunctionTable(f.spec.q, tuple(poly_values(f)))
 
 
-def reduce_mod_qx(f: FieldPoly) -> FieldPoly:
-    """Reduced form of f modulo X^q - X: X^j -> X^((j-1) mod (q-1) + 1)."""
-    spec = f.spec
-    q = spec.q
-    out = [0] * q
-    for j, c in enumerate(f.coeffs):
-        if c == 0:
-            continue
-        jr = 0 if j == 0 else (j - 1) % (q - 1) + 1
-        out[jr] = spec.add(out[jr], c)
-    return FieldPoly(spec, out)
-
-
 def interpolate(table: FunctionTable, spec: FieldSpec) -> FieldPoly:
     """Unique reduced polynomial with the given value table.
 
@@ -602,67 +587,3 @@ def interpolate(table: FunctionTable, spec: FieldSpec) -> FieldPoly:
         b = spec.add(spec.mul(c, b), minus_one)  # absorbs the -X term
         coeffs[0] = spec.add(coeffs[0], spec.mul(scale, b))
     return FieldPoly(spec, coeffs)
-
-
-@dataclass(frozen=True)
-class CharacterCountVector:
-    """Pair counts of trace values: d[j] = #{(x,y) : Tr(h (f(x)-f(y))) = j}."""
-
-    spec: FieldSpec
-    h: int
-    d: tuple[int, ...]
-
-    def __post_init__(self):
-        if sum(self.d) != self.spec.q**2:
-            raise ValueError("count vector must cover all q^2 pairs")
-
-
-def _difference_weights(spec: FieldSpec, values) -> list[int]:
-    """w[c] = number of ordered pairs (x, y) with f(x) - f(y) = c."""
-    q = spec.q
-    counts = Counter(values)
-    w = [0] * q
-    items = list(counts.items())
-    for v1, m1 in items:
-        for v2, m2 in items:
-            w[spec.sub(v1, v2)] += m1 * m2
-    return w
-
-
-def char_count_vector_from_values(spec: FieldSpec, values, h: int) -> CharacterCountVector:
-    if h == 0:
-        raise ValueError("the trivial character carries no information; h must be nonzero")
-    w = _difference_weights(spec, values)
-    d = [0] * spec.p
-    for c, wc in enumerate(w):
-        if wc:
-            d[spec.trace_int(spec.mul(h, c))] += wc
-    return CharacterCountVector(spec, h, tuple(d))
-
-
-def char_count_vector(f: FieldPoly, h) -> CharacterCountVector:
-    """Count vector of f for the additive character indexed by h != 0."""
-    return char_count_vector_from_values(f.spec, poly_values(f), f.spec.encoding(h))
-
-
-def char_sum_sq_is_q(v: CharacterCountVector) -> bool:
-    """Exact test of |S_h(f)|^2 == q over the integers.
-
-    The squared magnitude is sum_j d[j] w^j with w a primitive p-th root of
-    unity; since the minimal polynomial of w is 1 + X + ... + X^(p-1), the sum
-    equals q iff d[0] - q = d[1] = ... = d[p-1].
-    """
-    head = v.d[0] - v.spec.q
-    return all(dj == head for dj in v.d[1:])
-
-
-def char_sum_abs_float(f: FieldPoly, h) -> float:
-    """|sum_x w^Tr(h f(x))| in floating point; diagnostic companion of the
-    exact test (h = 0 gives exactly q)."""
-    spec = f.spec
-    hv = spec.encoding(h)
-    omega = cmath.exp(2j * cmath.pi / spec.p)
-    total = 0j
-    for value in poly_values(f):
-        total += omega ** spec.trace_int(spec.mul(hv, value))
-    return abs(total)

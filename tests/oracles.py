@@ -1,0 +1,170 @@
+"""Slow reference implementations that the tests compare the library with.
+
+Each function here computes, by brute force or through character sums, a
+quantity the library decides with an exact integer kernel:
+
+- ``collision_count_oracle`` walks the s-tuples that ``collision_count``
+  counts from the multiplicity spectrum;
+- ``energy_oracle`` visits the quadruples that ``energy`` counts from the
+  product multiplicities;
+- the character-sum count vectors decide |S_h|^2 = q one character at a
+  time, where the condition kernel tests difference counts;
+- ``reduce_mod_qx`` reduces exponents mod X^q - X, a normal form the tests
+  compare ``interpolate`` with.
+
+The enumerations refuse, rather than truncate, inputs over their budgets.
+"""
+
+from __future__ import annotations
+
+import cmath
+from collections import Counter
+from dataclasses import dataclass
+
+from valuesets.energy import SubsetPair
+from valuesets.functable import FunctionTable
+from valuesets.gf import FieldPoly, FieldSpec, poly_values
+
+ORACLE_BUDGET = 10**8  # max n**s a brute-force oracle will accept
+ENERGY_ORACLE_BUDGET = 10**8  # max quadruples the brute-force oracle will visit
+
+
+class EnumerationBudgetError(RuntimeError):
+    """A brute-force oracle refused to run because it would exceed its budget."""
+
+
+# -- collision counts and energy ---------------------------------------------
+
+def collision_count_oracle(f: FunctionTable, s: int, budget: int = ORACLE_BUDGET) -> int:
+    """Count the same tuples by direct enumeration, for cross-checking.
+
+    Walks every ordered s-tuple of distinct domain points with a common image
+    and counts one per tuple.  Refuses (rather than truncates) when the
+    worst-case tuple space n**s exceeds the budget.
+    """
+    if s < 2:
+        raise ValueError("collision order s must be >= 2")
+    n = f.domain_size
+    if n**s > budget:
+        raise EnumerationBudgetError(
+            f"enumerating up to {n}^{s} = {n**s} tuples exceeds budget {budget}"
+        )
+    positions: dict[int, list[int]] = {}
+    for i, v in enumerate(f.values):
+        positions.setdefault(v, []).append(i)
+
+    total = 0
+    chosen: list[int] = []
+
+    def extend(candidates: list[int], depth: int):
+        nonlocal total
+        if depth == s:
+            total += 1
+            return
+        for x in candidates:
+            if x not in chosen:
+                chosen.append(x)
+                extend(candidates, depth + 1)
+                chosen.pop()
+
+    for group in positions.values():
+        extend(group, 0)
+    return total
+
+
+def energy_oracle(pair: SubsetPair, budget: int = ENERGY_ORACLE_BUDGET) -> int:
+    """Count the quadruples literally; refuses rather than truncates."""
+    quads = (len(pair.a) * len(pair.b)) ** 2
+    if quads > budget:
+        raise EnumerationBudgetError(
+            f"enumerating {quads} quadruples exceeds budget {budget}"
+        )
+    op = pair.group.op
+    total = 0
+    for a in pair.a:
+        for b in pair.b:
+            ab = op(a, b)
+            for a2 in pair.a:
+                for b2 in pair.b:
+                    if op(a2, b2) == ab:
+                        total += 1
+    return total
+
+
+# -- polynomials over GF(q) ---------------------------------------------------
+
+def reduce_mod_qx(f: FieldPoly) -> FieldPoly:
+    """Reduced form of f modulo X^q - X: X^j -> X^((j-1) mod (q-1) + 1)."""
+    spec = f.spec
+    q = spec.q
+    out = [0] * q
+    for j, c in enumerate(f.coeffs):
+        if c == 0:
+            continue
+        jr = 0 if j == 0 else (j - 1) % (q - 1) + 1
+        out[jr] = spec.add(out[jr], c)
+    return FieldPoly(spec, out)
+
+
+@dataclass(frozen=True)
+class CharacterCountVector:
+    """Pair counts of trace values: d[j] = #{(x,y) : Tr(h (f(x)-f(y))) = j}."""
+
+    spec: FieldSpec
+    h: int
+    d: tuple[int, ...]
+
+    def __post_init__(self):
+        if sum(self.d) != self.spec.q**2:
+            raise ValueError("count vector must cover all q^2 pairs")
+
+
+def _difference_weights(spec: FieldSpec, values) -> list[int]:
+    """w[c] = number of ordered pairs (x, y) with f(x) - f(y) = c."""
+    q = spec.q
+    counts = Counter(values)
+    w = [0] * q
+    items = list(counts.items())
+    for v1, m1 in items:
+        for v2, m2 in items:
+            w[spec.sub(v1, v2)] += m1 * m2
+    return w
+
+
+def char_count_vector_from_values(spec: FieldSpec, values, h: int) -> CharacterCountVector:
+    if h == 0:
+        raise ValueError("the trivial character carries no information; h must be nonzero")
+    w = _difference_weights(spec, values)
+    d = [0] * spec.p
+    for c, wc in enumerate(w):
+        if wc:
+            d[spec.trace_int(spec.mul(h, c))] += wc
+    return CharacterCountVector(spec, h, tuple(d))
+
+
+def char_count_vector(f: FieldPoly, h) -> CharacterCountVector:
+    """Count vector of f for the additive character indexed by h != 0."""
+    return char_count_vector_from_values(f.spec, poly_values(f), f.spec.encoding(h))
+
+
+def char_sum_sq_is_q(v: CharacterCountVector) -> bool:
+    """Exact test of |S_h(f)|^2 == q over the integers.
+
+    The squared magnitude is sum_j d[j] w^j with w a primitive p-th root of
+    unity; since the minimal polynomial of w is 1 + X + ... + X^(p-1), the sum
+    equals q iff d[0] - q = d[1] = ... = d[p-1].
+    """
+    head = v.d[0] - v.spec.q
+    return all(dj == head for dj in v.d[1:])
+
+
+def char_sum_abs_float(f: FieldPoly, h) -> float:
+    """|sum_x w^Tr(h f(x))| in floating point; diagnostic companion of the
+    exact test (h = 0 gives exactly q)."""
+    spec = f.spec
+    hv = spec.encoding(h)
+    omega = cmath.exp(2j * cmath.pi / spec.p)
+    total = 0j
+    for value in poly_values(f):
+        total += omega ** spec.trace_int(spec.mul(hv, value))
+    return abs(total)

@@ -47,19 +47,18 @@ from valuesets.energy import (
 from valuesets.functable import (
     FunctionTable,
     collision_count,
-    collision_count_oracle,
     image_count,
     spectrum,
 )
 from valuesets.gf import (
     FieldPoly,
     all_irreducible_moduli,
-    char_sum_abs_float,
     field_build,
     poly_table,
     primitive_elements,
 )
 from valuesets.bounds import wan_degree_bound
+from oracles import char_sum_abs_float, collision_count_oracle
 
 JOBS = min(8, os.cpu_count() or 1)
 

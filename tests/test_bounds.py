@@ -145,6 +145,14 @@ def test_refined_upper_dominates_closed_form():
         assert upper_bound_refined_s2(n, t) <= bounds_s2(n, t).upper_int
 
 
+def test_refined_upper_dominates_max_multiplicity_bound():
+    # each part r of a B_k witness has r(r - 1) <= t = 2k, so r <= m* and
+    # B_k >= ceil(t / m*): bound_report's s = 2 minimum needs no third term
+    n = 30000
+    for k in range(20001):
+        assert upper_bound_refined_s2(n, 2 * k) <= upper_bound_exact(n, 2, 2 * k), k
+
+
 def test_refined_upper_parity():
     with pytest.raises(ParityError):
         upper_bound_refined_s2(10, 5)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -339,3 +340,22 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["result"]["lower_int"] == 8
+
+
+def test_bench_tracer_finds_every_span_name():
+    # bench/tracer.py patches the library by name, with no default, so a
+    # deleted or renamed SPANS entry would break only traced benchmark runs
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "sys.path[:0] = sys.argv[1:]\n"
+        "import valuesets.cli, tracer\n"
+        "tracer.Tracer().instrument()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "src"), str(root / "bench")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -276,7 +276,7 @@ def test_exact_c2_matches_float_threshold_exhaustively():
     import cmath
     import itertools
 
-    from valuesets.gf import char_count_vector_from_values, char_sum_sq_is_q
+    from oracles import char_count_vector_from_values, char_sum_sq_is_q
 
     for q in (3, 5):
         spec = field_build(q)

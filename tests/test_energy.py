@@ -8,12 +8,12 @@ from valuesets.energy import (
     SubsetPair,
     energy,
     energy_bounds,
-    energy_oracle,
     multiplication_table,
     n2_from_energy,
     product_set,
 )
-from valuesets.functable import EnumerationBudgetError, collision_count
+from valuesets.functable import collision_count
+from oracles import EnumerationBudgetError, energy_oracle
 
 # S_3 as permutation composition; element 0 is the identity
 S3_TABLE = [
@@ -165,3 +165,34 @@ def test_subset_validation():
         SubsetPair(g, (), (1,))
     pair = SubsetPair(g, (3, 1), (2,))
     assert pair.a == (1, 3)  # normalized to sorted order
+
+
+def test_group_orders_must_be_ints():
+    for n in (2.5, True, 3.0, "3"):
+        with pytest.raises(GroupAxiomError):
+            GroupSpec.cyclic(n)  # 2.5 and True once built groups
+    with pytest.raises(GroupAxiomError):
+        GroupSpec.product_of_cyclics([2.0, 3])  # once a group of order 6.0
+    with pytest.raises(GroupAxiomError):
+        GroupSpec.product_of_cyclics([2, True])
+    assert GroupSpec.product_of_cyclics([2, 3]).order == 6
+
+
+def test_cayley_entries_must_be_ints():
+    with pytest.raises(GroupAxiomError):
+        GroupSpec.from_cayley([[0, True], [True, 0]])  # once accepted
+    with pytest.raises(GroupAxiomError):
+        GroupSpec.from_cayley([[0, 1.0], [1.0, 0]])
+    assert GroupSpec.from_cayley([[0, 1], [1, 0]]).order == 2
+
+
+def test_subset_elements_must_be_ints():
+    g = GroupSpec.cyclic(5)
+    with pytest.raises(ValueError):
+        SubsetPair(g, (0.5, 1), (True, 2))  # once the product set (1.5, 2, 2.5, 3)
+    with pytest.raises(ValueError):
+        SubsetPair(g, (0,), (True,))
+    with pytest.raises(ValueError):
+        SubsetPair(g, ("1",), (1,))  # once a TypeError
+    with pytest.raises(ValueError):
+        SubsetPair(g, ("1", 1), (1,))

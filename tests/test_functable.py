@@ -5,14 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valuesets.functable import (
-    EnumerationBudgetError,
     FunctionTable,
     collision_count,
-    collision_count_oracle,
     falling_factorial,
     image_count,
     spectrum,
 )
+from oracles import EnumerationBudgetError, collision_count_oracle
 
 tables = st.lists(st.integers(0, 8), min_size=1, max_size=12).map(
     FunctionTable.from_values

@@ -10,10 +10,6 @@ from valuesets.gf import (
     FieldPoly,
     FieldSpec,
     all_irreducible_moduli,
-    char_count_vector,
-    char_count_vector_from_values,
-    char_sum_abs_float,
-    char_sum_sq_is_q,
     field_build,
     interpolate,
     is_primitive,
@@ -21,6 +17,12 @@ from valuesets.gf import (
     poly_table,
     poly_values,
     primitive_elements,
+)
+from oracles import (
+    char_count_vector,
+    char_count_vector_from_values,
+    char_sum_abs_float,
+    char_sum_sq_is_q,
     reduce_mod_qx,
 )
 

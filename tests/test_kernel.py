@@ -25,14 +25,8 @@ from valuesets.conditions import (
     profile_from_values,
 )
 from valuesets.functable import FunctionTable, collision_count
-from valuesets.gf import (
-    FieldPoly,
-    FieldSpec,
-    char_count_vector_from_values,
-    char_sum_sq_is_q,
-    field_build,
-    poly_values,
-)
+from valuesets.gf import FieldPoly, FieldSpec, field_build, poly_values
+from oracles import char_count_vector_from_values, char_sum_sq_is_q
 
 # (p, k) of the sampled fields: q = 7, 8, 9, 25, 27, 49, 81
 SAMPLED = [(7, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4)]
@@ -165,9 +159,8 @@ def test_passing_tables_never_touch_character_sums(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("character-sum oracle on the passing path")
 
-    monkeypatch.setattr(conditions, "char_sum_sq_is_q", forbidden)
-    monkeypatch.setattr(conditions, "CharacterCountVector", forbidden)
-    monkeypatch.setattr(gf, "char_count_vector_from_values", forbidden)
+    # the trace is the only character input of the witness search
+    monkeypatch.setattr(FieldSpec, "trace_int", forbidden)
     monkeypatch.setattr(FieldSpec, "trace_mul_rows", forbidden)
     for p, k in ((7, 1), (3, 2), (5, 2), (3, 4)):
         spec = field_build(p, k)
