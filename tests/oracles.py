@@ -10,7 +10,9 @@ quantity the library decides with an exact integer kernel:
 - the character-sum count vectors decide |S_h|^2 = q one character at a
   time, where the condition kernel tests difference counts;
 - ``reduce_mod_qx`` reduces exponents mod X^q - X, a normal form the tests
-  compare ``interpolate`` with.
+  compare ``interpolate`` with;
+- ``triangular_B_dp`` runs the Theta(k^1.5) dynamic program over every
+  j <= k that the branch and bound of ``triangular_B`` avoids.
 
 The enumerations refuse, rather than truncate, inputs over their budgets.
 """
@@ -21,6 +23,7 @@ import cmath
 from collections import Counter
 from dataclasses import dataclass
 
+from valuesets.bounds import triangular_number
 from valuesets.energy import SubsetPair
 from valuesets.functable import FunctionTable
 from valuesets.gf import FieldPoly, FieldSpec, poly_values
@@ -168,3 +171,39 @@ def char_sum_abs_float(f: FieldPoly, h) -> float:
     for value in poly_values(f):
         total += omega ** spec.trace_int(spec.mul(hv, value))
     return abs(total)
+
+
+# -- minimal-weight triangular decompositions ---------------------------------
+
+def bk_dp_table(k: int) -> list[tuple[int, int]]:
+    """Rows (B_j, largest part attaining it) for j = 0..k, by the DP over
+    every part r with T_r <= j; ties go to the largest part."""
+    weight = [0]
+    part = [0]
+    for j in range(1, k + 1):
+        best = None
+        best_r = 0
+        r = 2
+        while triangular_number(r) <= j:
+            w = (r - 1) + weight[j - triangular_number(r)]
+            if best is None or w < best or (w == best and r > best_r):
+                best = w
+                best_r = r
+            r += 1
+        weight.append(best)
+        part.append(best_r)
+    return list(zip(weight, part))
+
+
+def triangular_B_dp(k: int, table: list[tuple[int, int]] | None = None) -> tuple[int, tuple[int, ...]]:
+    """(B_k, witness parts), the witness taking the largest part at every
+    step; ``table`` is a ``bk_dp_table`` of length > k, built when omitted."""
+    if table is None:
+        table = bk_dp_table(k)
+    parts = []
+    j = k
+    while j > 0:
+        r = table[j][1]
+        parts.append(r)
+        j -= triangular_number(r)
+    return table[k][0], tuple(parts)

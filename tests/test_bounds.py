@@ -2,10 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from oracles import bk_dp_table, triangular_B_dp
 from valuesets.bounds import (
+    BK_LIMIT,
     InfeasibleError,
     ParityError,
     bound_report,
@@ -19,6 +21,7 @@ from valuesets.bounds import (
     upper_bound_exact,
     upper_bound_refined_s2,
     wan_degree_bound,
+    _bk,
 )
 from valuesets.functable import FunctionTable, collision_count, image_count, spectrum
 
@@ -124,6 +127,78 @@ def test_triangular_B_monotone_step():
         bk = triangular_B(k)[0]
         assert bk <= prev + 1
         prev = bk
+
+
+def test_triangular_B_matches_dp_oracle():
+    # weights and witnesses, tie-break included, for every k <= 10^4
+    table = bk_dp_table(10**4)
+    for k in range(10**4 + 1):
+        bk, witness = triangular_B(k)
+        assert (bk, witness.parts) == triangular_B_dp(k, table), k
+
+
+def _r_max(k):
+    """Largest r with T_r <= k, by bisection (independent of the library)."""
+    lo, hi = 1, 2
+    while triangular_number(hi) <= k:
+        lo, hi = hi, 2 * hi
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if triangular_number(mid) <= k:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@seed(20120917)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 10**15), min_size=1, max_size=4, unique=True))
+def test_triangular_B_properties(ks):
+    results = {}
+    for k in ks:
+        bk, witness = triangular_B(k)
+        parts = witness.parts
+        assert list(parts) == sorted(parts, reverse=True)
+        assert sum(triangular_number(r) for r in parts) == k
+        assert witness.weight == bk == sum(r - 1 for r in parts)
+        # the gap ceil((sqrt(8k+1) - 1)/2) is the least w with w(w+1) >= 2k
+        assert bk * (bk + 1) >= 2 * k
+        assert bk <= triangular_B(k - 1)[0] + 1
+        first = parts[0]
+        assert bk == (first - 1) + triangular_B(k - triangular_number(first))[0]
+        r = _r_max(k)
+        assert bk <= (r - 1) + triangular_B(k - triangular_number(r))[0]
+        results[k] = (bk, parts)
+    _bk.cache_clear()
+    for k in reversed(ks):
+        bk, witness = triangular_B(k)
+        assert (bk, witness.parts) == results[k]
+
+
+def test_bk_memo_is_bounded():
+    maxsize = _bk.cache_info().maxsize
+    assert maxsize is not None
+    _bk.cache_clear()
+    for k in range(maxsize + 100):
+        triangular_B(k)
+    info = _bk.cache_info()
+    assert info.misses > maxsize and info.currsize <= maxsize
+
+
+def test_triangular_B_domain():
+    assert triangular_B(BK_LIMIT)[1].k == BK_LIMIT
+    with pytest.raises(ValueError):
+        triangular_B(-1)
+    with pytest.raises(ValueError, match="B_k is computed for k <="):
+        triangular_B(BK_LIMIT + 1)
+    t = 2 * (BK_LIMIT + 1)
+    with pytest.raises(ValueError, match="B_k is computed for k <="):
+        upper_bound_refined_s2(10**11, t)
+    with pytest.raises(ValueError, match="B_k is computed for k <="):
+        bound_report(10**11, 2, t)
+    with pytest.raises(ValueError, match="B_k is computed for k <="):
+        construct_upper_tight(10, BK_LIMIT + 1)
 
 
 def test_gauss_three_triangulars():

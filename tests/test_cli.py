@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from valuesets import cli
+from valuesets.bounds import BK_LIMIT, _bk, triangular_B
 from valuesets.cli import main
 from valuesets.conditions import ClassificationSummary
 
@@ -111,6 +113,39 @@ def test_bk(capsys):
     assert code == 0
     assert report["result"]["b_k"] == 4
     assert report["result"]["witness_parts"] == [5]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bk", "--k", "100000000"],
+        ["bounds", "--n", "20001", "--t", "400000000"],
+    ],
+)
+def test_large_bk_finishes(capsys, argv):
+    _bk.cache_clear()
+    start = time.perf_counter()
+    code, report = run_cli(capsys, *argv)
+    assert code == 0 and time.perf_counter() - start < 2.0
+    if argv[0] == "bk":
+        assert report["result"]["b_k"] == 14286
+        assert sum(report["result"]["witness_triangulars"]) == 100000000
+    else:
+        assert report["result"]["extras"]["b_k"] == triangular_B(200000000)[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bk", "--k", str(BK_LIMIT + 1)],
+        ["bounds", "--n", "10000000000000", "--t", str(2 * BK_LIMIT + 2)],
+        ["construct", "--kind", "upper", "--n", "10", "--t", str(2 * BK_LIMIT + 2)],
+    ],
+)
+def test_bk_above_limit_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "B_k is computed for k <=" in captured.err
 
 
 def test_construct_lower(capsys):
