@@ -137,25 +137,35 @@ def upper_bound_exact(n: int, s: int, t: int) -> int:
     return n - (-(-t // denom))
 
 
+def _gap(t: int) -> int:
+    """Least g with g(g + 1) >= t, i.e. ceil((sqrt(4t+1) - 1)/2), exactly.
+
+    With i = isqrt(4t+1): when 4t+1 = i^2 (i odd) the root is (i-1)/2;
+    otherwise (sqrt(4t+1)-1)/2 lies strictly between (i-1)/2 and i/2, so
+    its ceiling is (i+1)//2.  For t = 2k this is a lower bound on B_k:
+    parts a_i with sum T_{a_i} = k and weight w = sum (a_i - 1) satisfy
+    2k = sum a_i(a_i - 1) <= w(w + 1).
+    """
+    d = 4 * t + 1
+    i = math.isqrt(d)
+    return (i - 1) // 2 if i * i == d else (i + 1) // 2
+
+
 def s2_report(n: int, t: int) -> BoundReport:
     """The closed-form s = 2 report for N_2 = t, without checking t: the
     applications (planar functions, product sets) derive theirs from it.
 
     The upper bound n - 2t/(1+sqrt(4t+1)) equals n - (sqrt(4t+1)-1)/2, so
-    its floor n - gap comes exactly from i = isqrt(4t+1); no floating point
-    is involved.  When 4t+1 = i^2 (i odd) the bound is attained exactly;
-    otherwise (sqrt(4t+1)-1)/2 lies strictly between (i-1)/2 and i/2, so its
-    ceiling, the gap, is (i+1)//2.
+    its floor is n - _gap(t), with no floating point involved; when 4t+1 is
+    a square the bound is attained exactly.
     """
     lower_real = Fraction(2 * n - t, 2)
     d = 4 * t + 1
     i = math.isqrt(d)
     if i * i == d:
         upper_real: Fraction | float = Fraction(2 * n - i + 1, 2)
-        gap = (i - 1) // 2
     else:
         upper_real = n - (math.sqrt(d) - 1.0) / 2.0  # diagnostic only
-        gap = (i + 1) // 2
     return BoundReport(
         n=n,
         s=2,
@@ -163,7 +173,7 @@ def s2_report(n: int, t: int) -> BoundReport:
         lower_real=lower_real,
         lower_int=math.ceil(lower_real),
         upper_real=upper_real,
-        upper_int=n - gap,
+        upper_int=n - _gap(t),
         provenance={
             "lower": "pair-deficit bound n - t/2",
             "upper": "quadratic-root bound n - 2t/(1+sqrt(4t+1))",
@@ -186,16 +196,6 @@ def bounds_s2(n: int, t: int) -> BoundReport:
 BK_LIMIT = 10**20
 
 
-def _gap(k: int) -> int:
-    """Least w with w(w + 1) >= 2k, i.e. ceil((sqrt(8k+1) - 1)/2).
-
-    A lower bound on B_k: parts a_i with sum T_{a_i} = k and weight
-    w = sum (a_i - 1) satisfy 2k = sum a_i(a_i - 1) <= w(w + 1).
-    """
-    w = (math.isqrt(8 * k + 1) - 1) // 2
-    return w if w * (w + 1) >= 2 * k else w + 1
-
-
 @functools.lru_cache(maxsize=1 << 16)
 def _bk(j: int) -> tuple[int, int]:
     """(B_j, largest part of a minimal-weight decomposition of j).
@@ -204,7 +204,7 @@ def _bk(j: int) -> tuple[int, int]:
     largest r with T_r <= j.  A decomposition of weight w whose largest part
     is R has j <= R w / 2, so once r (best - 1) < 2j no smaller largest part
     can improve on the best; a branch r whose least possible weight
-    r - 1 + _gap(j - T_r) is already >= best is skipped.  Only a strict
+    r - 1 + _gap(2(j - T_r)) is already >= best is skipped.  Only a strict
     improvement replaces the best, so ties keep the largest part.
     """
     if j == 0:
@@ -213,7 +213,7 @@ def _bk(j: int) -> tuple[int, int]:
     rest = j - triangular_number(r)
     best, best_r = j + 1, 0
     while r >= 2 and r * (best - 1) >= 2 * j:
-        if r - 1 + _gap(rest) < best:
+        if r - 1 + _gap(2 * rest) < best:
             w = r - 1 + _bk(rest)[0]
             if w < best:
                 best, best_r = w, r
