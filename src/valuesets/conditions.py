@@ -135,8 +135,10 @@ def difference_table(f: FieldPoly, a) -> FunctionTable:
     return FunctionTable(f.spec.q, tuple(vals))
 
 
-# The kernel works on a value table with the field's tables
-# add[a][x] = x + a and sub[u][v] = u - v (FieldSpec.add_rows, sub_rows).
+# The kernel works on a value table f with the field's carry-free lists
+# (FieldSpec.spread, nspread, reduce): f(u) - f(v) = reduce[S[u] + N[v]] for
+# the per-table lists S = spread of f and N = nspread of f.  Shifts read the
+# rows add[a][x] = x + a of FieldSpec.add_rows, each built when read.
 
 def _value_counts(values, q: int) -> list[int]:
     counts = [0] * q
@@ -150,50 +152,57 @@ def _n2(counts) -> int:
     return sum(m * (m - 1) for m in counts)
 
 
-def _c1_scan(values, add, sub) -> int | None:
+def _spread_lists(spec: FieldSpec, values) -> tuple[list[int], list[int]]:
+    """The per-table lists S = spread of f and N = nspread of f."""
+    return list(map(spec.spread.__getitem__, values)), list(map(spec.nspread.__getitem__, values))
+
+
+def _c1_scan(S, N, red, add) -> int | None:
     """First a != 0 whose difference map is not a bijection, else None."""
-    for a in range(1, len(values)):
+    for a in range(1, len(S)):
         seen = set()
-        for s, v in zip(add[a], values):  # s = x + a, v = f(x)
-            d = sub[values[s]][v]
+        for s, n in zip(add[a], N):  # s = x + a, n = nspread f(x)
+            d = red[S[s] + n]  # f(x + a) - f(x)
             if d in seen:
                 return a
             seen.add(d)
     return None
 
 
-def _difference_counts(counts, sub) -> list[int]:
+def _difference_counts(spec: FieldSpec, counts) -> list[int]:
     """c[h] = #{(x, y) : f(x) - f(y) = h}, from the value counts of f."""
+    spread, nspread, red = spec.spread, spec.nspread, spec.reduce
     c = [0] * len(counts)
     support = [(v, m) for v, m in enumerate(counts) if m]
+    negatives = [(nspread[v], m) for v, m in support]
     for v1, m1 in support:
-        row = sub[v1]
-        for v2, m2 in support:
-            c[row[v2]] += m1 * m2
+        s1 = spread[v1]
+        for t2, m2 in negatives:
+            c[red[s1 + t2]] += m1 * m2
     return c
 
 
-def _c2_holds(counts, n2: int, sub) -> bool:
+def _c2_holds(spec: FieldSpec, counts, n2: int) -> bool:
     """C2: c(0) = 2q - 1 and c(h) = q - 1 for every h != 0.  Since
     c(0) = q + N_2, a table that fails C4 fails here at once."""
     q = len(counts)
     if n2 != q - 1:
         return False
     # c[0] = 2q - 1, so the q - 1 entries equal to q - 1 must be all the others
-    return _difference_counts(counts, sub).count(q - 1) == q - 1
+    return _difference_counts(spec, counts).count(q - 1) == q - 1
 
 
-def _c2_scan(spec: FieldSpec, counts, n2: int, sub) -> int | None:
+def _c2_scan(spec: FieldSpec, counts, n2: int) -> int | None:
     """First h != 0 with |S_h|^2 != q, else None.  Only a table failing the
     integer test is scanned: the trace counts d[j] = #{(x, y) :
     Tr(h (f(x) - f(y))) = j} of character h are sums of difference counts,
     O(q) per h.  |S_h|^2 = sum_j d[j] w^j for a primitive p-th root of unity
     w, whose minimal polynomial is 1 + X + ... + X^(p-1), so it equals q iff
     d[0] - q = d[1] = ... = d[p-1]."""
-    if _c2_holds(counts, n2, sub):
+    if _c2_holds(spec, counts, n2):
         return None
     q = spec.q
-    c = _difference_counts(counts, sub)
+    c = _difference_counts(spec, counts)
     support = [u for u, cu in enumerate(c) if cu]
     for h in range(1, q):
         d = [0] * spec.p
@@ -220,11 +229,11 @@ def _c3_scan(values, add) -> int | None:
 
 def profile_from_values(spec: FieldSpec, values) -> ConditionProfile:
     q = spec.q
-    add, sub = spec.add_rows(), spec.sub_rows()
+    add = spec.add_rows()
     counts = _value_counts(values, q)
     n2 = _n2(counts)
-    a1 = _c1_scan(values, add, sub)
-    h2 = _c2_scan(spec, counts, n2, sub)
+    a1 = _c1_scan(*_spread_lists(spec, values), spec.reduce, add)
+    h2 = _c2_scan(spec, counts, n2)
     a3 = _c3_scan(values, add)
     note = None
     if spec.p == 2:
@@ -245,13 +254,14 @@ def profile_from_values(spec: FieldSpec, values) -> ConditionProfile:
 # -- polynomial level API -----------------------------------------------------
 
 def test_c1(f: FieldPoly) -> tuple[bool, int | None]:
-    a = _c1_scan(poly_values(f), f.spec.add_rows(), f.spec.sub_rows())
+    spec = f.spec
+    a = _c1_scan(*_spread_lists(spec, poly_values(f)), spec.reduce, spec.add_rows())
     return a is None, a
 
 
 def test_c2(f: FieldPoly) -> tuple[bool, int | None]:
     counts = _value_counts(poly_values(f), f.spec.q)
-    h = _c2_scan(f.spec, counts, _n2(counts), f.spec.sub_rows())
+    h = _c2_scan(f.spec, counts, _n2(counts))
     return h is None, h
 
 
@@ -273,13 +283,19 @@ def condition_profile(f: FieldPoly) -> ConditionProfile:
 
 
 def verify_average_lemma(f: FieldPoly) -> tuple[int, bool]:
-    """Exact check of sum over a of N_2(f(X) + aX) == q(q-1)."""
+    """Exact check of sum over a of N_2(f(X) + aX) == q(q-1).
+
+    The identity holds for every f: each ordered pair x != y collides in
+    exactly one f + aX, the one with a = -(f(x) - f(y)) / (x - y).  So the
+    check tests the field arithmetic, not f.  One mul per term; the sums
+    f(x) + ax are read carry-free, reduce[spread f(x) + spread(ax)]."""
     spec = f.spec
     q = spec.q
-    base = poly_values(f)
+    spread, red, mul = spec.spread, spec.reduce, spec.mul
+    base = list(map(spread.__getitem__, poly_values(f)))
     total = 0
     for a in range(q):
-        shifted = [spec.add(base[x], spec.mul(a, x)) for x in range(q)]
+        shifted = [red[b + spread[mul(a, x)]] for x, b in enumerate(base)]
         total += n2_of_values(shifted)
     return total, total == q * (q - 1)
 
@@ -296,13 +312,14 @@ def up_invariant(f: FieldPoly) -> int | None:
     power sums vanish (they are (q-1)-periodic, so no further k can work)."""
     spec = f.spec
     q = spec.q
+    spread, red, mul = spec.spread, spec.reduce, spec.mul
     values = poly_values(f)
     powers = [1] * q
     for k in range(1, q):
         total = 0
         for i, v in enumerate(values):
-            powers[i] = spec.mul(powers[i], v)
-            total = spec.add(total, powers[i])
+            powers[i] = power = mul(powers[i], v)
+            total = red[spread[total] + spread[power]]
         if total != 0:
             return k
     return None
@@ -344,18 +361,21 @@ def _classify_shard(args) -> tuple[list[int], list[int | None]]:
     spec = FieldSpec(p, k, modulus)
     q = spec.q
     qm1 = q - 1
-    add, sub = spec.add_rows(), spec.sub_rows()
+    spread, nspread, red = spec.spread, spec.nspread, spec.reduce
+    shift = spec.add_rows()
+    add = [shift[a] for a in range(q)]  # q rows of q entries, read by every table
 
     counts = [0] * 16
     first: list[int | None] = [None] * 16
 
     vals = index_to_values(lo, q)
+    S, N = _spread_lists(spec, vals)
     cnt = _value_counts(vals, q)
     n2 = _n2(cnt)
     for idx in range(lo, hi):
         mask = (
-            (8 if _c1_scan(vals, add, sub) is None else 0)
-            | (4 if _c2_holds(cnt, n2, sub) else 0)
+            (8 if _c1_scan(S, N, red, add) is None else 0)
+            | (4 if _c2_holds(spec, cnt, n2) else 0)
             | (2 if _c3_scan(vals, add) is None else 0)
             | (1 if n2 == qm1 else 0)
         )
@@ -369,6 +389,8 @@ def _classify_shard(args) -> tuple[list[int], list[int | None]]:
             v = vals[pos]
             w = v + 1 if v < qm1 else 0
             vals[pos] = w
+            S[pos] = spread[w]
+            N[pos] = nspread[w]
             cnt[v] -= 1
             n2 += 2 * (cnt[w] - cnt[v])
             cnt[w] += 1

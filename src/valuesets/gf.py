@@ -5,18 +5,18 @@ are the coordinates in the polynomial basis of the chosen irreducible
 modulus.  That encoding gives a total order used for canonical witnesses and
 for primitive-element enumeration.  Every element argument is an element of
 the same field or an int encoding in [0, q); anything else raises ValueError
-(FieldSpec.encoding).  Intended for desk-scale fields (q up to ~10^4);
+(FieldSpec.encoding).  Addition is carry-free for every field: three
+lists of q, q and (2p - 1)^k entries, built on first use, and no q x q
+table (FieldSpec).  Intended for desk-scale fields (q up to ~10^4);
 irreducibility is certified by trial division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import cached_property
 
 from .functable import FunctionTable
-
-TABLE_LIMIT = 2048  # largest q for which the dense q x q add and sub tables are built
 
 
 class FieldConstructionError(ValueError):
@@ -121,63 +121,40 @@ def _encode_digits(digits, p: int) -> int:
     return e
 
 
-def _add_table(p: int, k: int) -> list[list[int]]:
-    """Addition table of GF(p^k) on base-p encodings, one digit at a time.
-
-    Addition is digit-wise mod p.  Given the table for the m = p^j encodings
-    below m, the row of a = lo + m*hi in the table for p*m encodings is
-    blocks c = 0..p-1 of row lo shifted by m*c, rotated by hi blocks.  Rows
-    reference the int objects of one range list, so the table costs a
-    pointer per entry.
-    """
-    q = p**k
-    elems = list(range(q))
-    base = elems[:p]
-    rows = [base[a:] + base[:a] for a in range(p)]
-    m = p
-    while m < q:
-        chunks = [elems[m * c : m * (c + 1)] for c in range(p)]
-        blocks = [[list(map(chunk.__getitem__, row)) for chunk in chunks] for row in rows]
-        rows = [
-            list(chain.from_iterable(bl[hi:] + bl[:hi])) for hi in range(p) for bl in blocks
-        ]
-        m *= p
-    return rows
+def _rebase(k: int, digit_values, base: int) -> list[int]:
+    """out[e] = sum_i digit_values[d_i] * base^i, where d_0 .. d_(k-1) are the
+    digits of e in base len(digit_values)."""
+    out = [0]
+    w = 1
+    for _ in range(k):
+        out = [s + t for t in [d * w for d in digit_values] for s in out]
+        w *= base
+    return out
 
 
-class _OpRow:
-    """Row a of a table op(a, x), each entry computed when read."""
+class _Rows:
+    """rows[a] = row(a), a list of q entries built each time it is read."""
 
-    __slots__ = ("op", "a", "q")
+    __slots__ = ("row",)
 
-    def __init__(self, op, a: int, q: int):
-        self.op, self.a, self.q = op, a, q
+    def __init__(self, row):
+        self.row = row
 
-    def __getitem__(self, x: int) -> int:
-        return self.op(self.a, x)
-
-    def __iter__(self):
-        return map(self.op, repeat(self.a, self.q), range(self.q))
-
-
-class _OpRows:
-    """rows[a][x] = op(a, x) without a q x q table."""
-
-    def __init__(self, op, q: int):
-        self.op, self.q = op, q
-
-    def __getitem__(self, a: int) -> _OpRow:
-        return _OpRow(self.op, a, self.q)
+    def __getitem__(self, a: int) -> list[int]:
+        return self.row(a)
 
 
 class FieldSpec:
     """Immutable description of GF(p^k) with table-backed arithmetic on
     integer encodings.  Use :func:`field_build` to construct one.
 
-    Multiplication goes through discrete-log tables built here.  Addition in
-    an extension field looks up a q x q table built on first use, for
-    q <= TABLE_LIMIT; larger extension fields add digit vectors.  Prime
-    fields reduce mod p."""
+    Multiplication goes through discrete-log tables built here.  Addition is
+    carry-free for every p and k: ``spread[x]`` re-reads the base-p digits
+    of x in base 2p - 1 and ``nspread[x] = spread[-x]``, so the digits of
+    ``spread[a] + spread[b]`` and ``spread[a] + nspread[b]`` stay below
+    2p - 1, and ``reduce`` maps either sum, digit by digit mod p, to the
+    encoding of a + b or a - b.  The three lists hold q, q and (2p - 1)^k
+    entries and are built on first use."""
 
     def __init__(self, p: int, k: int, modulus=None):
         if type(p) is not int or not is_prime(p):
@@ -222,9 +199,6 @@ class FieldSpec:
                         cur[i] = (cur[i] - lead * c) % p
             self._exp, self._log = self._build_log_tables()
         self._trace_cache = None
-        self._add_rows_cache = None
-        self._sub_rows_cache = None
-        self._neg_cache = None
         self._trace_mul_cache = None
 
     def _raw_mul(self, a: int, b: int) -> int:
@@ -277,28 +251,28 @@ class FieldSpec:
 
     # -- arithmetic on integer encodings ------------------------------------
 
+    @cached_property
+    def spread(self) -> list[int]:
+        return _rebase(self.k, range(self.p), 2 * self.p - 1)
+
+    @cached_property
+    def nspread(self) -> list[int]:
+        return _rebase(self.k, [(-d) % self.p for d in range(self.p)], 2 * self.p - 1)
+
+    @cached_property
+    def reduce(self) -> list[int]:
+        elems = list(range(self.q))  # entries share the q int objects of one list
+        sums = _rebase(self.k, [d % self.p for d in range(2 * self.p - 1)], self.p)
+        return list(map(elems.__getitem__, sums))
+
     def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        rows = self._add_rows_cache
-        if rows is None:
-            if self.q > TABLE_LIMIT:
-                p = self.p
-                da = _digits_of(a, p, self.k)
-                db = _digits_of(b, p, self.k)
-                return _encode_digits([(x + y) % p for x, y in zip(da, db)], p)
-            rows = self.add_rows()
-        return rows[a][b]
+        return self.reduce[self.spread[a] + self.spread[b]]
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return self._negatives()[a]
+        return self.reduce[self.nspread[a]]
 
     def sub(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a - b) % self.p
-        return self.add(a, self._negatives()[b])
+        return self.reduce[self.spread[a] + self.nspread[b]]
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -349,41 +323,31 @@ class FieldSpec:
     # -- helper tables (condition kernel) ------------------------------------
 
     def add_rows(self):
-        """add_rows()[a][x] = x + a: a dense q x q table built on first use for
-        q <= TABLE_LIMIT; above that, rows whose entries add computes when
-        read, so no q x q table is built."""
-        if self.q > TABLE_LIMIT:
-            return _OpRows(self.add, self.q)  # addition commutes
-        if self._add_rows_cache is None:
-            self._add_rows_cache = _add_table(self.p, self.k)
-        return self._add_rows_cache
+        """add_rows()[a][x] = x + a; each row of q entries is built when read,
+        from q/p slices of reduce: x = d + p*y has spread[x] = d + spread[p*y]."""
+        p, spread, red = self.p, self.spread, self.reduce
+        starts = spread[::p]
+
+        def row(a: int) -> list[int]:
+            sa, out = spread[a], []
+            for t in starts:
+                out += red[sa + t : sa + t + p]
+            return out
+
+        return _Rows(row)
 
     def sub_rows(self):
-        """sub_rows()[u][v] = u - v, dense or computed per entry as add_rows."""
-        if self.q > TABLE_LIMIT:
-            return _OpRows(self.sub, self.q)
-        if self._sub_rows_cache is None:
-            neg = self._negatives()
-            self._sub_rows_cache = [list(map(row.__getitem__, neg)) for row in self.add_rows()]
-        return self._sub_rows_cache
-
-    def _negatives(self) -> list[int]:
-        """_negatives()[x] = -x (a list of q entries, built on first use)."""
-        if self._neg_cache is None:
-            p, k = self.p, self.k
-            self._neg_cache = [
-                _encode_digits([(-d) % p for d in _digits_of(x, p, k)], p)
-                for x in range(self.q)
-            ]
-        return self._neg_cache
+        """sub_rows()[u][v] = u - v; each row of q entries is built when read."""
+        spread, nspread, red = self.spread, self.nspread, self.reduce
+        return _Rows(lambda u: list(map(red.__getitem__, map(spread[u].__add__, nspread))))
 
     def trace_mul_rows(self) -> list[list[int]]:
-        """trace_mul_rows()[h][c] = Tr(h*c), encodings in [0, p); a test
-        oracle, refused above TABLE_LIMIT."""
+        """trace_mul_rows()[h][c] = Tr(h*c), encodings in [0, p); a q x q
+        table kept for tracing and tests, refused above q = 2048."""
         if self._trace_mul_cache is None:
-            if self.q > TABLE_LIMIT:
+            if self.q > 2048:
                 raise FieldConstructionError(
-                    f"dense q x q tables are limited to q <= {TABLE_LIMIT}, got q = {self.q}"
+                    f"the q x q trace table is limited to q <= 2048, got q = {self.q}"
                 )
             self._trace_mul_cache = [
                 [self.trace_int(self.mul(h, c)) for c in range(self.q)]
@@ -543,14 +507,17 @@ def poly_values(f: FieldPoly) -> list[int]:
                     acc = (acc * x + c) % p
                 out.append(acc)
         else:
-            # Horner with acc * x = exp[(log acc + log x) mod (q - 1)] for x != 0
-            add, exp, log, qm1 = spec.add, spec._exp, spec._log, q - 1
+            # Horner with acc * x = exp[(log acc + log x) mod (q - 1)] for x != 0,
+            # added to c carry-free: reduce[spread(acc * x) + spread(c)]
+            spread, red, log, qm1 = spec.spread, spec.reduce, spec._log, q - 1
+            sexp = [spread[e] for e in spec._exp]
+            terms = [(c, spread[c]) for c in coeffs]
             out = [f.coeffs[0] if f.coeffs else 0]
             for x in range(1, q):
                 lx = log[x]
                 acc = 0
-                for c in coeffs:
-                    acc = add(exp[(log[acc] + lx) % qm1], c) if acc else c
+                for c, sc in terms:
+                    acc = red[sexp[(log[acc] + lx) % qm1] + sc] if acc else c
                 out.append(acc)
         f._values = tuple(out)
     return list(f._values)

@@ -198,7 +198,8 @@ def test_test_conditions_inline(capsys):
 
 
 def test_test_conditions_above_table_limit(capsys):
-    # q = 2053 > TABLE_LIMIT: no dense q x q tables, the kernel reads entries
+    # q = 2053, above the 2048 of the former dense tables: the kernel's shift
+    # rows are built one at a time from the carry-free addition lists
     code, report = run_cli(
         capsys, "test-conditions", "--poly", '{"p": 2053, "coeffs": [0, 0, 0, 1]}'
     )
@@ -210,6 +211,19 @@ def test_test_conditions_above_table_limit(capsys):
     assert r["profile"]["mask"] == "0000" and r["profile"]["n2"] == 4104
     assert (r["profile"]["c1_witness"], r["profile"]["c2_witness"], r["profile"]["c3_witness"]) == (1, 1, 1)
     assert (r["up_invariant"], r["wsc_lower"]) == (684, 685)
+
+
+def test_test_conditions_planar_large_extension_field(capsys):
+    # X^4 = X^(3+1) is planar over GF(3^7), since 7 is odd; the only pinned
+    # extension field above 2048, where every scan runs in full
+    start = time.perf_counter()
+    code, report = run_cli(
+        capsys, "test-conditions", "--poly", '{"p": 3, "k": 7, "coeffs": [0, 0, 0, 0, 1]}'
+    )
+    assert code == 0 and time.perf_counter() - start < 20.0
+    r = report["result"]
+    assert r["profile"]["mask"] == "1111" and r["profile"]["n2"] == 2186
+    assert (r["image_count"], r["up_invariant"]) == (1094, 1093)
 
 
 def test_classify(capsys):

@@ -290,23 +290,25 @@ def test_table_arithmetic_matches_digits():
 
 
 def test_large_extension_field_adds_digits_without_tables():
-    from valuesets.gf import TABLE_LIMIT
-
-    spec = field_build(3, 7)
-    assert spec.q == 2187 > TABLE_LIMIT
+    # one carry-free addition for every field: no q x q table at any size
     rng = random.Random(6)
-    pairs = [(rng.randrange(spec.q), rng.randrange(spec.q)) for _ in range(2000)]
-    _check_arithmetic(spec, pairs)
-    # above the limit the rows are views whose entries add and sub compute
-    rows, subs = spec.add_rows(), spec.sub_rows()
-    assert not isinstance(rows, list) and not isinstance(subs, list)
-    for a, b in pairs:
-        assert rows[a][b] == spec.add(a, b) and subs[a][b] == spec.sub(a, b)
-    assert list(rows[5]) == [spec.add(x, 5) for x in range(spec.q)]
-    assert list(subs[5]) == [spec.sub(5, x) for x in range(spec.q)]
-    assert spec._add_rows_cache is None and spec._sub_rows_cache is None  # no q x q table
-    with pytest.raises(FieldConstructionError):
-        spec.trace_mul_rows()  # a test oracle, refused above the limit
+    for p, k in ((2, 11), (3, 7), (5, 5), (2053, 1)):
+        spec = field_build(p, k)
+        q = spec.q
+        assert not {"spread", "nspread", "reduce"} & set(vars(spec))  # built on first use
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+        _check_arithmetic(spec, pairs)
+        add, neg = _digitwise(spec)
+        rows, subs = spec.add_rows(), spec.sub_rows()
+        for a in {a for a, _ in pairs[:5]}:
+            assert rows[a] == [add(x, a) for x in range(q)]
+            assert subs[a] == [add(a, neg(x)) for x in range(q)]
+        assert len(spec.reduce) == (2 * p - 1) ** k
+        held = [v for v in vars(spec).values() if isinstance(v, list)]
+        assert held and all(len(v) <= max(q, (2 * p - 1) ** k) for v in held), (p, k)
+        if q > 2048:
+            with pytest.raises(FieldConstructionError):
+                spec.trace_mul_rows()  # the one q x q table left, refused above 2048
 
 
 def test_pow_matches_repeated_multiplication():

@@ -1,7 +1,7 @@
 """The integer condition kernel against its slow oracles.
 
 profile_from_values decides C2 from difference counts, C1 and C3 from the
-addition and subtraction tables, and searches for a C2 witness only when the
+field's carry-free addition lists and shift rows, and searches for a C2 witness only when the
 integer test fails.  Each bit and each witness is compared here
 with a direct scan: the character-sum count vectors for C2, the root count
 of every difference map for C3, and the bijectivity of every difference map
@@ -16,7 +16,7 @@ from collections import Counter
 
 import pytest
 
-from valuesets import conditions, gf
+from valuesets import conditions
 from valuesets.conditions import (
     _classify_shard,
     classify_all,
@@ -126,33 +126,6 @@ def test_classification_matches_profiles_q5():
     summary = classify_all(5)
     assert summary.mask_counts == dict(masks)
     assert summary.witness_indices == first
-
-
-def _poly_tests(f):
-    return conditions.test_c1(f), conditions.test_c2(f), conditions.test_c3(f)
-
-
-def test_per_entry_rows_match_dense_tables(monkeypatch):
-    # above TABLE_LIMIT the kernel reads add and sub entry by entry; lowering
-    # the limit runs that path, and the digit-wise field addition, at small q
-    rng = random.Random("kernel/per-entry")
-    cases = []
-    for p, k in ((7, 1), (3, 2), (5, 2), (3, 3)):
-        spec = field_build(p, k)
-        tables = list(itertools.islice(sampled_tables(spec, rng), 0, SAMPLES, 5))
-        polys = [FieldPoly(spec, c) for c in ([0, 0, 1], [1, 2, 0, 1], [0, 1, 0, 0, 1])]
-        dense = [profile_from_values(spec, v) for v in tables]
-        dense_tests = [_poly_tests(f) for f in polys]
-        cases.append(((p, k), tables, dense, [f.coeffs for f in polys], dense_tests))
-
-    monkeypatch.setattr(gf, "TABLE_LIMIT", 1)
-    for (p, k), tables, dense, coeffs, dense_tests in cases:
-        spec = field_build(p, k)
-        assert [profile_from_values(spec, v) for v in tables] == dense
-        polys = [FieldPoly(spec, c) for c in coeffs]
-        assert [_poly_tests(f) for f in polys] == dense_tests
-        assert spec._add_rows_cache is None and spec._sub_rows_cache is None
-        assert dense_tests[0] == ((True, None),) * 3  # X^2 is planar in odd q
 
 
 def test_passing_tables_never_touch_character_sums(monkeypatch):
