@@ -52,7 +52,7 @@ from .functable import (
     image_count,
     spectrum,
 )
-from .gf import FieldPoly, FieldSpec, poly_table, primitive_elements, prime_power_decomposition
+from .gf import FieldPoly, field_build, poly_table, primitive_elements, prime_power_decomposition
 
 
 def _digest_file(args, path) -> None:
@@ -134,7 +134,7 @@ def _cmd_construct(args):
 
 def _cmd_field(args):
     modulus = _parse_modulus(args.modulus)
-    spec = FieldSpec(args.p, args.k, modulus)
+    spec = field_build(args.p, args.k, modulus)
     prims = primitive_elements(spec)
     result = {
         "p": spec.p,
@@ -197,7 +197,7 @@ def _cmd_verify_lemma(args):
         if args.random < 1:
             raise InputFormatError(f"--random must be at least 1, got {args.random}")
         p, k = prime_power_decomposition(args.q)
-        spec = FieldSpec(p, k)
+        spec = field_build(p, k)
         rng = random.Random(args.seed)
         for _ in range(args.random):
             coeffs = [rng.randrange(spec.q) for _ in range(spec.q)]

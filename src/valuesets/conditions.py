@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 from .bounds import BoundReport, s2_report
 from .functable import FunctionTable
-from .gf import FieldPoly, FieldSpec, interpolate, poly_values, prime_power_decomposition
+from .gf import FieldPoly, FieldSpec, field_build, interpolate, poly_values, prime_power_decomposition
 
 CLASSIFY_BUDGET = 1_000_000  # default cap on q**q table enumerations
 
@@ -198,10 +198,16 @@ def _c2_scan(spec: FieldSpec, counts, n2: int) -> int | None:
     Tr(h (f(x) - f(y))) = j} of character h are sums of difference counts,
     O(q) per h.  |S_h|^2 = sum_j d[j] w^j for a primitive p-th root of unity
     w, whose minimal polynomial is 1 + X + ... + X^(p-1), so it equals q iff
-    d[0] - q = d[1] = ... = d[p-1]."""
+    d[0] - q = d[1] = ... = d[p-1].
+
+    Over GF(p) a table failing C4 needs no scan: Tr(u) = u, so d = c for
+    h = 1, and c(0) = q + N_2 != 2q - 1 breaks d[0] - q = d[1] = ... at once
+    (the d[j] sum to q^2, so they force c(0) = 2q - 1)."""
+    q = spec.q
+    if spec.k == 1 and n2 != q - 1:
+        return 1
     if _c2_holds(spec, counts, n2):
         return None
-    q = spec.q
     c = _difference_counts(spec, counts)
     support = [u for u, cu in enumerate(c) if cu]
     for h in range(1, q):
@@ -309,20 +315,16 @@ def poly_version_bounds(q: int) -> BoundReport:
 
 def up_invariant(f: FieldPoly) -> int | None:
     """Least k in [1, q-1] with sum_x f(x)^k != 0 in the field; None if all
-    power sums vanish (they are (q-1)-periodic, so no further k can work)."""
+    power sums vanish (they are (q-1)-periodic, so no further k can work).
+
+    For k >= 1, sum_x f(x)^k = sum_l m(g^l) g^(lk), where m(v) is the number
+    of x with f(x) = v, taken mod p: the transform's X_(k mod (q-1)) of
+    m(g^l) mod p."""
     spec = f.spec
-    q = spec.q
-    spread, red, mul = spec.spread, spec.reduce, spec.mul
-    values = poly_values(f)
-    powers = [1] * q
-    for k in range(1, q):
-        total = 0
-        for i, v in enumerate(values):
-            powers[i] = power = mul(powers[i], v)
-            total = red[spread[total] + spread[power]]
-        if total != 0:
-            return k
-    return None
+    n = spec.q - 1
+    counts = _value_counts(poly_values(f), spec.q)
+    sums = spec.transform([counts[v] % spec.p for v in spec.exp])
+    return next((k for k in range(1, n + 1) if sums[k % n]), None)
 
 
 def wsc_from_up(u: int | None) -> int | None:
@@ -358,7 +360,7 @@ def _classify_shard(args) -> tuple[list[int], list[int | None]]:
     """Profile every value table with index in [lo, hi); returns per-mask
     counts and the first (minimal) index seen per mask."""
     p, k, modulus, lo, hi = args
-    spec = FieldSpec(p, k, modulus)
+    spec = field_build(p, k, modulus)
     q = spec.q
     qm1 = q - 1
     spread, nspread, red = spec.spread, spec.nspread, spec.reduce
@@ -422,7 +424,7 @@ def classify_all(
             f"classifying GF({q}) means {q}^{q} = {total} tables, over budget "
             f"{budget}; pass an explicit larger budget to force it"
         )
-    spec = FieldSpec(p, k, modulus)
+    spec = field_build(p, k, modulus)
     mod = spec.modulus
 
     jobs = max(1, jobs)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .energy import GroupSpec
 from .functable import FunctionTable
-from .gf import FieldPoly, FieldSpec
+from .gf import FieldPoly, field_build
 
 
 class InputFormatError(ValueError):
@@ -108,7 +108,7 @@ def parse_poly_spec(obj: dict) -> FieldPoly:
     if modulus is not None:
         modulus = _json_ints(modulus, '"modulus"')
     try:
-        spec = FieldSpec(p, k, modulus)
+        spec = field_build(p, k, modulus)
         return FieldPoly(spec, coeffs)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc

@@ -7,14 +7,19 @@ for primitive-element enumeration.  Every element argument is an element of
 the same field or an int encoding in [0, q); anything else raises ValueError
 (FieldSpec.encoding).  Addition is carry-free for every field: three
 lists of q, q and (2p - 1)^k entries, built on first use, and no q x q
-table (FieldSpec).  Intended for desk-scale fields (q up to ~10^4);
+table (FieldSpec).  Polynomial values and power sums go through one
+length-(q - 1) DFT over GF(q), computed as a single integer product
+(FieldSpec.transform).  field_build keeps the fields it built, so each is
+planned once per process.  Intended for desk-scale fields (q up to ~10^4);
 irreducibility is certified by trial division.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .functable import FunctionTable
 
@@ -132,6 +137,44 @@ def _rebase(k: int, digit_values, base: int) -> list[int]:
     return out
 
 
+def _field_args(p: int, k: int, modulus) -> tuple[int, ...] | None:
+    """Check the field parameters that need no search: p a prime int, k an
+    int >= 1, and a given modulus monic of degree k with int coefficients in
+    [0, p).  Returns the modulus as a tuple (None when absent)."""
+    if type(p) is not int or not is_prime(p):
+        raise FieldConstructionError(f"{p!r} is not prime")
+    if type(k) is not int or k < 1:
+        raise FieldConstructionError(f"extension degree must be an int >= 1, got {k!r}")
+    if modulus is None:
+        return None
+    if k == 1:
+        raise FieldConstructionError("prime fields take no modulus")
+    modulus = tuple(modulus)
+    if (
+        len(modulus) != k + 1
+        or any(type(c) is not int or not 0 <= c < p for c in modulus)
+        or modulus[-1] != 1
+    ):
+        raise FieldConstructionError(
+            "modulus must be monic of degree k with coefficients in [0, p)"
+        )
+    return modulus
+
+
+def _slot_type(p: int, k: int) -> str:
+    """The smallest array typecode whose items hold (p^k - 1) * k * (p - 1)^2,
+    the largest slot of FieldSpec.transform's packed product: q - 1 terms,
+    each a sum of at most k digit products.  Raises ValueError above 64 bits
+    rather than let a slot carry into the next."""
+    bound = (p**k - 1) * k * (p - 1) ** 2
+    for typecode in "BHIQ":
+        if bound >> (8 * array(typecode).itemsize) == 0:
+            return typecode
+    raise ValueError(
+        f"GF({p}^{k}): transform slots need {bound.bit_length()} bits, over the 64-bit limit"
+    )
+
+
 class _Rows:
     """rows[a] = row(a), a list of q entries built each time it is read."""
 
@@ -148,7 +191,8 @@ class FieldSpec:
     """Immutable description of GF(p^k) with table-backed arithmetic on
     integer encodings.  Use :func:`field_build` to construct one.
 
-    Multiplication goes through discrete-log tables built here.  Addition is
+    Multiplication in extension fields goes through the discrete-log lists
+    ``exp``/``log``, built on first use.  Addition is
     carry-free for every p and k: ``spread[x]`` re-reads the base-p digits
     of x in base 2p - 1 and ``nspread[x] = spread[-x]``, so the digits of
     ``spread[a] + spread[b]`` and ``spread[a] + nspread[b]`` stay below
@@ -157,38 +201,19 @@ class FieldSpec:
     entries and are built on first use."""
 
     def __init__(self, p: int, k: int, modulus=None):
-        if type(p) is not int or not is_prime(p):
-            raise FieldConstructionError(f"{p!r} is not prime")
-        if type(k) is not int or k < 1:
-            raise FieldConstructionError(f"extension degree must be an int >= 1, got {k!r}")
+        modulus = _field_args(p, k, modulus)
         self.p = p
         self.k = k
         self.q = p**k
-        if k == 1:
-            if modulus is not None:
-                raise FieldConstructionError("prime fields take no modulus")
-            self.modulus = None
-        else:
+        self.modulus = modulus
+        # X^j for j in [k, 2k-2], reduced, as digit vectors
+        self._xpow = []
+        if k > 1:
             if modulus is None:
                 # canonical: the least non-leading coefficient encoding
-                modulus = next(_monic_irreducibles(p, k))
-            else:
-                modulus = list(modulus)
-                if (
-                    len(modulus) != k + 1
-                    or modulus[-1] != 1
-                    or any(type(c) is not int or not 0 <= c < p for c in modulus)
-                ):
-                    raise FieldConstructionError(
-                        "modulus must be monic of degree k with coefficients in [0, p)"
-                    )
-                if not _fp_is_irreducible(modulus, p):
-                    raise FieldConstructionError(
-                        f"modulus {modulus} is reducible over F_{p}"
-                    )
-            self.modulus = tuple(modulus)
-            # X^j for j in [k, 2k-2], reduced, as digit vectors
-            self._xpow = []
+                self.modulus = next(_monic_irreducibles(p, k))
+            elif not _fp_is_irreducible(list(modulus), p):
+                raise FieldConstructionError(f"modulus {list(modulus)} is reducible over F_{p}")
             cur = [(-c) % p for c in self.modulus[:-1]]  # X^k
             for _ in range(k - 1):
                 self._xpow.append(list(cur))
@@ -197,7 +222,6 @@ class FieldSpec:
                 if lead:
                     for i, c in enumerate(self.modulus[:-1]):
                         cur[i] = (cur[i] - lead * c) % p
-            self._exp, self._log = self._build_log_tables()
         self._trace_cache = None
         self._trace_mul_cache = None
 
@@ -231,23 +255,28 @@ class FieldSpec:
             e >>= 1
         return result
 
-    def _build_log_tables(self):
-        """Find the least generator of the multiplicative group and tabulate
-        its powers; multiplication and inversion then go through logs."""
+    @cached_property
+    def exp(self) -> list[int]:
+        """exp[i] = g^i for i < q - 1, where g is the least generator of the
+        multiplicative group; built on first use."""
         q = self.q
         factors = prime_factors(q - 1)
-        gen = None
-        for x in range(1, q):
-            if all(self._raw_pow(x, (q - 1) // ell) != 1 for ell in factors):
-                gen = x
-                break
-        exp = [1] * (q - 1)
+        gen = next(
+            x for x in range(1, q)
+            if all(self._raw_pow(x, (q - 1) // ell) != 1 for ell in factors)
+        )
+        out = [1] * (q - 1)
         for i in range(1, q - 1):
-            exp[i] = self._raw_mul(exp[i - 1], gen)
-        log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        return exp, log
+            out[i] = self._raw_mul(out[i - 1], gen)
+        return out
+
+    @cached_property
+    def log(self) -> list[int]:
+        """log[x] = the i with exp[i] = x, for x != 0 (log[0] is 0)."""
+        out = [0] * self.q
+        for i, v in enumerate(self.exp):
+            out[v] = i
+        return out
 
     # -- arithmetic on integer encodings ------------------------------------
 
@@ -279,14 +308,14 @@ class FieldSpec:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         if self.k == 1:
             return pow(a, -1, self.p)
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self.exp[(-self.log[a]) % (self.q - 1)]
 
     def pow(self, x: int, e: int) -> int:
         """x^e = exp[log x * e mod (q - 1)]; negative e via the inverse."""
@@ -296,7 +325,7 @@ class FieldSpec:
             return 1 if e == 0 else 0
         if self.k == 1:
             return pow(x, e, self.p)
-        return self._exp[self._log[x] * e % (self.q - 1)]
+        return self.exp[self.log[x] * e % (self.q - 1)]
 
     def trace_int(self, a: int) -> int:
         """Tr(a) = a + a^p + ... + a^(p^(k-1)), as an encoding in [0, p)."""
@@ -355,6 +384,75 @@ class FieldSpec:
             ]
         return self._trace_mul_cache
 
+    # -- the discrete Fourier transform over GF(q) -----------------------------
+
+    @cached_property
+    def _chirp_plan(self):
+        """What transform reads for every input: the slot typecode; rows[x],
+        the k base-p digits of x packed into 2k - 1 slots (the last k - 1
+        zero, room for a digit product); tri[m] = T(m) mod (q - 1); the chirp
+        g^T(m), m < q - 1, packed into one int; and fold[h] = spread of
+        sum_t h_t X^(k+t) mod the modulus, for the q/p words h of k - 1 high
+        digits."""
+        p, k, n = self.p, self.k, self.q - 1
+        typecode = _slot_type(p, k)
+        size = array(typecode).itemsize
+        digit_bytes = [d.to_bytes(size, "little") for d in range(p)]
+        rows = [b""]
+        for _ in range(k):  # each pass appends the next, more significant digit
+            rows = [r + t for t in digit_bytes for r in rows]
+        pad = bytes(size * (k - 1))
+        rows = [r + pad for r in rows]
+        tri, t = [], 0
+        for m in range(n):  # T(m + 1) = T(m) + m
+            tri.append(t)
+            t = (t + m) % n
+        chirp = int.from_bytes(b"".join([rows[self.exp[t]] for t in tri]), "little")
+        fold = [0]
+        for xp in self._xpow:  # X^(k+t) for t = 0 .. k-2
+            step, multiples = _encode_digits(xp, p), [0]
+            for _ in range(p - 1):
+                multiples.append(self.add(multiples[-1], step))
+            fold = [self.add(f, m) for m in multiples for f in fold]
+        return typecode, rows, tri, chirp, [self.spread[f] for f in fold]
+
+    def transform(self, a) -> list[int]:
+        """X_j = sum_i a_i g^(ij) for j < q - 1, from the q - 1 encodings a_i,
+        where g is the least generator (exp[1]).
+
+        Bluestein's chirp-z identity ij = T(i + j) - T(i) - T(j), with
+        T(n) = n(n - 1)/2, makes the transform one correlation:
+        X_j = g^-T(j) sum_i (a_i g^-T(i)) c_(i+j), c_m = g^T(m).  Since
+        g^T(q-1) = -1 in every GF(q), c_(m+q-1) = -c_m, so the correlation is
+        negacyclic of length q - 1: P[q-2+j] - P[j-1] for the linear
+        correlation P of the q - 1 terms with c_0 .. c_(q-2).  P is one int
+        product of the packed digit rows (Kronecker substitution); no slot
+        carries, since each holds at most (q - 1) k (p - 1)^2 in its array
+        type.  Each output's 2k - 1 slot differences are reduced mod p, and
+        its k - 1 high digits folded back through the modulus."""
+        typecode, rows, tri, chirp, fold = self._chirp_plan
+        p, k, n = self.p, self.k, self.q - 1
+        exp, log, red = self.exp, self.log, self.reduce
+        if len(a) != n:
+            raise ValueError(f"transform takes q - 1 = {n} encodings, got {len(a)}")
+        b = [exp[(log[x] - t) % n] if x else 0 for x, t in zip(a, tri)]  # a_i g^-T(i)
+        w = 2 * k - 1  # slots per index
+        product = int.from_bytes(b"".join(map(rows.__getitem__, reversed(b))), "little") * chirp
+        slots = array(typecode)
+        slots.frombytes(product.to_bytes(2 * n * w * slots.itemsize, "little"))
+        if sys.byteorder != "little":
+            slots.byteswap()
+        head = slots[(n - 1) * w : (2 * n - 1) * w]  # P[n - 1 + j]
+        wrap = array(typecode, bytes(w * slots.itemsize)) + slots[: (n - 1) * w]  # P[j - 1]
+        digits = [[(u - v) % p for u, v in zip(head[t::w], wrap[t::w])] for t in range(w)]
+        low, high = digits[k - 1], [0] * n  # spread of the low digits, word of the high
+        for col in reversed(digits[: k - 1]):
+            low = [s * (2 * p - 1) + d for s, d in zip(low, col)]
+        for col in reversed(digits[k:]):
+            high = [h * p + d for h, d in zip(high, col)]
+        y = [red[s + fold[h]] for s, h in zip(low, high)]
+        return [exp[(log[v] - t) % n] if v else 0 for v, t in zip(y, tri)]
+
     # -- element / misc ------------------------------------------------------
 
     def encoding(self, x) -> int:
@@ -394,7 +492,16 @@ class FieldSpec:
 
 
 def field_build(p: int, k: int = 1, modulus=None) -> FieldSpec:
-    """Build GF(p^k); picks the canonical modulus when none is supplied."""
+    """GF(p^k), with the canonical modulus when none is supplied.  A field is
+    built once and kept (the last 16 in a bounded cache), so its lists and
+    transform plan are made once per process.  The parameters are checked
+    before the lookup: True == 1 and 1.0 == 1 hash alike, so a modulus
+    [2, 2, True] would otherwise find the field built from [2, 2, 1]."""
+    return _cached_field(p, k, _field_args(p, k, modulus))
+
+
+@lru_cache(maxsize=16)
+def _cached_field(p: int, k: int, modulus) -> FieldSpec:
     return FieldSpec(p, k, modulus)
 
 
@@ -493,32 +600,23 @@ def poly_eval(f: FieldPoly, x) -> FieldElement:
 
 def poly_values(f: FieldPoly) -> list[int]:
     """Value encodings of f at all q points, in encoding order.  The table is
-    computed once per polynomial and copied out on each call."""
+    computed once per polynomial and copied out on each call.
+
+    For x = g^j, x^e = g^(j (e mod (q - 1))) when e >= 1, so folding c_e into
+    slot e mod (q - 1) (and c_0 into slot 0) makes f(g^j) the transform's
+    X_j; f(0) = c_0."""
     if f._values is None:
         spec = f.spec
-        q = spec.q
-        coeffs = f.coeffs[::-1]
-        if spec.k == 1:
-            p = spec.p
-            out = []
-            for x in range(q):
-                acc = 0
-                for c in coeffs:
-                    acc = (acc * x + c) % p
-                out.append(acc)
-        else:
-            # Horner with acc * x = exp[(log acc + log x) mod (q - 1)] for x != 0,
-            # added to c carry-free: reduce[spread(acc * x) + spread(c)]
-            spread, red, log, qm1 = spec.spread, spec.reduce, spec._log, q - 1
-            sexp = [spread[e] for e in spec._exp]
-            terms = [(c, spread[c]) for c in coeffs]
-            out = [f.coeffs[0] if f.coeffs else 0]
-            for x in range(1, q):
-                lx = log[x]
-                acc = 0
-                for c, sc in terms:
-                    acc = red[sexp[(log[acc] + lx) % qm1] + sc] if acc else c
-                out.append(acc)
+        n = spec.q - 1
+        coeffs = f.coeffs or (0,)
+        slots = [0] * n
+        slots[0] = coeffs[0]
+        for e, c in enumerate(coeffs[1:], 1):
+            if c:
+                slots[e % n] = spec.add(slots[e % n], c)
+        out = [coeffs[0]] * spec.q
+        for x, v in zip(spec.exp, spec.transform(slots)):
+            out[x] = v
         f._values = tuple(out)
     return list(f._values)
 

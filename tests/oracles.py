@@ -11,6 +11,9 @@ quantity the library decides with an exact integer kernel:
   time, where the condition kernel tests difference counts;
 - ``reduce_mod_qx`` reduces exponents mod X^q - X, a normal form the tests
   compare ``interpolate`` with;
+- ``dft_oracle``, ``poly_values_horner`` and ``up_invariant_oracle`` compute
+  term by term (Horner's rule at every point, the power sums one k at a
+  time) what ``FieldSpec.transform`` gets from one integer product;
 - ``triangular_B_dp`` runs the Theta(k^1.5) dynamic program over every
   j <= k that the branch and bound of ``triangular_B`` avoids.
 
@@ -107,6 +110,47 @@ def reduce_mod_qx(f: FieldPoly) -> FieldPoly:
         jr = 0 if j == 0 else (j - 1) % (q - 1) + 1
         out[jr] = spec.add(out[jr], c)
     return FieldPoly(spec, out)
+
+
+def dft_oracle(spec: FieldSpec, a) -> list[int]:
+    """X_j = sum_i a_i g^(ij) for j < q - 1, term by term."""
+    n = spec.q - 1
+    g = spec.exp[1 % n]
+    out = []
+    for j in range(n):
+        acc = 0
+        for i, x in enumerate(a):
+            acc = spec.add(acc, spec.mul(x, spec.pow(g, i * j)))
+        out.append(acc)
+    return out
+
+
+def poly_values_horner(f: FieldPoly) -> list[int]:
+    """f at every point by Horner's rule: q * (deg f + 1) products."""
+    spec = f.spec
+    out = []
+    for x in range(spec.q):
+        acc = 0
+        for c in reversed(f.coeffs):
+            acc = spec.add(spec.mul(acc, x), c)
+        out.append(acc)
+    return out
+
+
+def up_invariant_oracle(f: FieldPoly) -> int | None:
+    """Least k in [1, q-1] with sum_x f(x)^k != 0, raising every value to
+    the next power in turn: u_p(f) * q products."""
+    spec = f.spec
+    values = poly_values_horner(f)
+    powers = [1] * spec.q
+    for k in range(1, spec.q):
+        total = 0
+        for i, v in enumerate(values):
+            powers[i] = spec.mul(powers[i], v)
+            total = spec.add(total, powers[i])
+        if total != 0:
+            return k
+    return None
 
 
 @dataclass(frozen=True)

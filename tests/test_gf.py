@@ -293,7 +293,7 @@ def test_large_extension_field_adds_digits_without_tables():
     # one carry-free addition for every field: no q x q table at any size
     rng = random.Random(6)
     for p, k in ((2, 11), (3, 7), (5, 5), (2053, 1)):
-        spec = field_build(p, k)
+        spec = FieldSpec(p, k)  # not field_build's shared field, whose lists may exist
         q = spec.q
         assert not {"spread", "nspread", "reduce"} & set(vars(spec))  # built on first use
         pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
@@ -423,6 +423,20 @@ def test_same_field_elements_and_in_range_ints_agree(spec):
             assert char_count_vector(f, x) == char_count_vector(f, e) == expected
     assert (F7.element(3) + 4).value == 0
     assert (F9.element(3) + 3).value == 6  # alpha + alpha = 2 alpha
+
+
+def test_field_build_checks_arguments_before_its_cache():
+    assert field_build(7) is field_build(7, 1) == F7
+    assert field_build(3, 2, [2, 2, 1]) is field_build(3, 2, (2, 2, 1))
+    assert field_build(3, 2, [2, 2, 1]) != F9 and field_build(3, 2, [1, 0, 1]) == F9
+    # True == 1 and 1.0 == 1 hash alike, so only the checks keep them out
+    for args in ((7, True), (7, 1.0), (7.0, 1), (3, 2, [2, 2, True]), (3, 2, [2.0, 2, 1])):
+        with pytest.raises(FieldConstructionError):
+            field_build(*args)
+    with pytest.raises(FieldConstructionError):
+        field_build(3, 2, [0, 1, 1])  # reducible: a miss, and not cached
+    with pytest.raises(FieldConstructionError):
+        field_build(3, 2, [0, 1, 1])
 
 
 def test_field_spec_refuses_non_int_parameters():

@@ -1,0 +1,95 @@
+"""FieldSpec.transform, and the polynomial values and power sums read from it,
+against term-by-term oracles.
+
+The transform is one integer product of packed digit rows, so every slot
+must hold its largest sum in the array type chosen for it; the choice is
+tested at each type's boundary without building a field that large.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from valuesets.conditions import up_invariant
+from valuesets.gf import FieldPoly, _slot_type, field_build, poly_values
+from oracles import dft_oracle, poly_values_horner, up_invariant_oracle
+
+SMALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]  # q <= 9
+# GF(2), GF(3) and the fields of the profile-fields benchmark workload
+SAMPLED = [(2, 1), (3, 1), (7, 2), (3, 4), (5, 3), (127, 1), (2, 7), (251, 1)]
+
+
+def check(f):
+    assert poly_values(f) == poly_values_horner(f), f
+    assert up_invariant(f) == up_invariant_oracle(f), f
+
+
+def test_transform_is_the_dft():
+    rng = random.Random(1)
+    for p, k in SMALL_Q + [(7, 2), (2, 5)]:
+        spec = field_build(p, k)
+        n = spec.q - 1
+        for a in [[0] * n, [1] + [0] * (n - 1)] + [
+            [rng.randrange(spec.q) for _ in range(n)] for _ in range(5)
+        ]:
+            assert spec.transform(a) == dft_oracle(spec, a), (p, k, a)
+        with pytest.raises(ValueError):
+            spec.transform([0] * (n + 1))
+
+
+def test_every_polynomial_of_degree_below_3_over_small_fields():
+    for p, k in SMALL_Q:
+        spec = field_build(p, k)
+        for coeffs in itertools.product(range(spec.q), repeat=3):
+            check(FieldPoly(spec, coeffs))
+
+
+def test_sampled_dense_sparse_and_high_degree_polynomials():
+    rng = random.Random(2)
+    for p, k in SAMPLED:
+        spec = field_build(p, k)
+        q = spec.q
+        polys = [[rng.randrange(q) for _ in range(q)] for _ in range(3)]  # dense
+        for _ in range(3):  # sparse, degree at most 8
+            coeffs = [0] * 9
+            for e in rng.sample(range(9), 3):
+                coeffs[e] = rng.randrange(q)
+            polys.append(coeffs)
+        for d in (q - 1, q, 2 * q - 1, 3 * q + 2):  # X^d folds to X^(d mod (q - 1))
+            coeffs = [0] * (d + 1)
+            coeffs[d] = rng.randrange(1, q)
+            coeffs[rng.randrange(d)] = rng.randrange(q)
+            polys.append(coeffs)
+        polys += [[], [rng.randrange(q)]]  # zero and a constant
+        for coeffs in polys:
+            check(FieldPoly(spec, coeffs))
+
+
+def test_large_prime_fields_use_wide_slots():
+    # (q - 1) (p - 1)^2 needs 31 bits at q = 1021 and 34 bits at q = 2053
+    rng = random.Random(3)
+    for p, typecode in ((1021, "I"), (2053, "Q")):
+        spec = field_build(p)
+        for coeffs in ([0, 0, 1], [0, 0, 0, 1], [rng.randrange(p) for _ in range(9)]):
+            f = FieldPoly(spec, coeffs)
+            assert poly_values(f) == poly_values_horner(f), (p, coeffs)
+        assert spec._chirp_plan[0] == typecode
+        held = [x for x in spec._chirp_plan if isinstance(x, list)]
+        assert held and all(len(x) <= spec.q for x in held)
+    # the power sums of X^3 vanish until 1020 | 3k
+    assert up_invariant(FieldPoly(field_build(1021), [0, 0, 0, 1])) == 340
+    assert up_invariant_oracle(FieldPoly(field_build(1021), [0, 0, 0, 1])) == 340
+
+
+def test_slot_type_holds_the_largest_slot_or_refuses():
+    # bound (p^k - 1) k (p - 1)^2: prime fields give (p - 1)^3
+    assert _slot_type(2, 1) == "B" and _slot_type(7, 1) == "B"  # 216
+    assert _slot_type(11, 1) == "H" and _slot_type(41, 1) == "H"  # 1000, 64000
+    assert _slot_type(43, 1) == "I" and _slot_type(1621, 1) == "I"  # 74088, 1620^3 < 2^32
+    assert _slot_type(1627, 1) == "Q"  # 1626^3 > 2^32
+    assert _slot_type(2, 7) == "H" and _slot_type(3, 7) == "H"  # 889, 61208
+    assert _slot_type(2642246, 1) == "Q"  # 2642245^3 < 2^64
+    for p, k in ((2642247, 1), (2, 64)):  # over 64 bits: refused, never truncated
+        with pytest.raises(ValueError):
+            _slot_type(p, k)
