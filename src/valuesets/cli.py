@@ -4,7 +4,9 @@ Every report embeds a run manifest (subcommand, flags, input digests, seed,
 worker count, tool version); reports carry no timestamps and all randomness
 is seeded, so re-running an identical manifest reproduces the report
 byte-for-byte.  Exit codes: 0 all asserted properties hold, 1 a property was
-violated, 2 malformed input or refused budget.
+violated, 2 malformed input or refused budget.  The subcommands that build a
+field (field, test-conditions, verify-lemma) refuse q above
+formats.FIELD_LIMIT.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .conditions import (
 from .energy import GroupSpec, SubsetPair, energy_bounds, product_set
 from .formats import (
     InputFormatError,
+    check_field_size,
     function_table_to_dict,
     load_cayley_csv,
     load_code_assignment,
@@ -133,6 +136,7 @@ def _cmd_construct(args):
 
 
 def _cmd_field(args):
+    check_field_size(args.p, args.k)
     modulus = _parse_modulus(args.modulus)
     spec = field_build(args.p, args.k, modulus)
     prims = primitive_elements(spec)
@@ -196,6 +200,7 @@ def _cmd_verify_lemma(args):
             raise InputFormatError("verify-lemma needs --poly or --q with --random")
         if args.random < 1:
             raise InputFormatError(f"--random must be at least 1, got {args.random}")
+        check_field_size(args.q, 1)
         p, k = prime_power_decomposition(args.q)
         spec = field_build(p, k)
         rng = random.Random(args.seed)

@@ -19,10 +19,18 @@ One integer kernel decides C1-C3 on a value table, for single polynomials
 and for the classification alike.  With c(h) = #{(x, y) : f(x) - f(y) = h},
 |S_h|^2 = sum_u c(u) psi(hu), and Fourier inversion over the additive
 characters gives: C2 holds iff c(0) = 2q - 1 and c(h) = q - 1 for h != 0.
+
+The rest of the per-polynomial path makes no field call per pair (x, a) or
+(x, y).  The average identity reads f(x) + ax by discrete-log rotation: one
+map chain and one Counter per a.  A table failing C2 names its least failing
+h from the trace counts of its value counts, and never builds c(h).  u_p = 1
+is read from the coefficients, sum_x f(x) = -sum c_e over e >= 1 with
+(q - 1) | e, before any value or transform is computed.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -194,26 +202,36 @@ def _c2_holds(spec: FieldSpec, counts, n2: int) -> bool:
 
 def _c2_scan(spec: FieldSpec, counts, n2: int) -> int | None:
     """First h != 0 with |S_h|^2 != q, else None.  Only a table failing the
-    integer test is scanned: the trace counts d[j] = #{(x, y) :
-    Tr(h (f(x) - f(y))) = j} of character h are sums of difference counts,
-    O(q) per h.  |S_h|^2 = sum_j d[j] w^j for a primitive p-th root of unity
-    w, whose minimal polynomial is 1 + X + ... + X^(p-1), so it equals q iff
+    integer test is scanned, from the trace counts t[i] = #{x : Tr(h f(x)) =
+    i} of character h: O(|support|) per h from the value counts.  Tr is
+    additive, so the pair counts d[j] = #{(x, y) : Tr(h (f(x) - f(y))) = j}
+    are d[j] = sum_i t[i] t[i - j] (indices mod p), summed over the pairs of
+    nonzero t[i]: at most p^2 products per h, and p^2 <= q when k >= 2.
+    |S_h|^2 = sum_j d[j] w^j for a primitive p-th root of unity w, whose
+    minimal polynomial is 1 + X + ... + X^(p-1), so it equals q iff
     d[0] - q = d[1] = ... = d[p-1].
 
     Over GF(p) a table failing C4 needs no scan: Tr(u) = u, so d = c for
     h = 1, and c(0) = q + N_2 != 2q - 1 breaks d[0] - q = d[1] = ... at once
-    (the d[j] sum to q^2, so they force c(0) = 2q - 1)."""
-    q = spec.q
+    (the d[j] sum to q^2, so they force c(0) = 2q - 1).  A table meeting C4
+    that fails C2 fails at h = 1 as well: the Galois map w -> w^h takes
+    |S_1|^2 to |S_h|^2 and fixes q, so over GF(p) the scan ends at h = 1."""
+    q, p = spec.q, spec.p
     if spec.k == 1 and n2 != q - 1:
         return 1
     if _c2_holds(spec, counts, n2):
         return None
-    c = _difference_counts(spec, counts)
-    support = [u for u, cu in enumerate(c) if cu]
+    mul, tr = spec.mul, spec.trace_int
+    support = [(v, m) for v, m in enumerate(counts) if m]
     for h in range(1, q):
-        d = [0] * spec.p
-        for u in support:
-            d[spec.trace_int(spec.mul(h, u))] += c[u]
+        t = [0] * p
+        for v, m in support:
+            t[tr(mul(h, v))] += m
+        nonzero = [(i, ti) for i, ti in enumerate(t) if ti]
+        d = [0] * p
+        for i, ti in nonzero:
+            for j, tj in nonzero:
+                d[i - j] += ti * tj  # a negative index is i - j + p
         if any(dj != d[0] - q for dj in d[1:]):
             return h
     raise AssertionError("integer C2 test failed but every |S_h|^2 equals q")
@@ -288,21 +306,39 @@ def condition_profile(f: FieldPoly) -> ConditionProfile:
     return profile_from_values(f.spec, poly_values(f))
 
 
+def _average_lemma_terms(f: FieldPoly) -> list[int]:
+    """N_2(f(X) + aX) for every a, in encoding order.
+
+    For a = g^r and x = g^l, ax = g^(r+l): row a reads the sums
+    f(g^l) + g^(r+l), l < q - 1, carry-free from the spreads of f's values
+    in log order plus the spreads E[m] = spread[g^m] rotated by r.  Each
+    row is one map chain and one Counter; x = 0 adds f(0) to every row, and
+    N_2 = sum m^2 - q over the row's value counts m.  Row a = 0 is N_2(f)."""
+    spec = f.spec
+    q, n = spec.q, spec.q - 1
+    spread, red, exp = spec.spread, spec.reduce, spec.exp
+    values = poly_values(f)
+    f0 = values[0]
+    base = [spread[values[x]] for x in exp]  # spread f(g^l)
+    rotations = [spread[x] for x in exp] * 2  # spread g^m, m < 2(q - 1)
+    terms = [n2_of_values(values)] * q
+    for r, a in enumerate(exp):
+        m = Counter(map(red.__getitem__, map(operator.add, base, rotations[r : r + n])))
+        m[f0] += 1
+        terms[a] = sum(map(operator.mul, m.values(), m.values())) - q
+    return terms
+
+
 def verify_average_lemma(f: FieldPoly) -> tuple[int, bool]:
     """Exact check of sum over a of N_2(f(X) + aX) == q(q-1).
 
     The identity holds for every f: each ordered pair x != y collides in
     exactly one f + aX, the one with a = -(f(x) - f(y)) / (x - y).  So the
-    check tests the field arithmetic, not f.  One mul per term; the sums
-    f(x) + ax are read carry-free, reduce[spread f(x) + spread(ax)]."""
-    spec = f.spec
-    q = spec.q
-    spread, red, mul = spec.spread, spec.reduce, spec.mul
-    base = list(map(spread.__getitem__, poly_values(f)))
-    total = 0
-    for a in range(q):
-        shifted = [red[b + spread[mul(a, x)]] for x, b in enumerate(base)]
-        total += n2_of_values(shifted)
+    check tests the field arithmetic, not f: the products ax come from the
+    discrete-log rotation of exp and the sums f(x) + ax from spread and
+    reduce, with no mul call (_average_lemma_terms)."""
+    q = f.spec.q
+    total = sum(_average_lemma_terms(f))
     return total, total == q * (q - 1)
 
 
@@ -317,11 +353,19 @@ def up_invariant(f: FieldPoly) -> int | None:
     """Least k in [1, q-1] with sum_x f(x)^k != 0 in the field; None if all
     power sums vanish (they are (q-1)-periodic, so no further k can work).
 
-    For k >= 1, sum_x f(x)^k = sum_l m(g^l) g^(lk), where m(v) is the number
-    of x with f(x) = v, taken mod p: the transform's X_(k mod (q-1)) of
-    m(g^l) mod p."""
+    k = 1 is read from the coefficients: sum_x x^e is -1 when e >= 1 and
+    (q-1) | e, and 0 otherwise (q * 1 = 0 at e = 0), so sum_x f(x) is minus
+    the sum of those c_e.  When that is nonzero, u_p = 1 and no value is
+    computed.  Otherwise, for k >= 1, sum_x f(x)^k = sum_l m(g^l) g^(lk),
+    where m(v) is the number of x with f(x) = v, taken mod p: the
+    transform's X_(k mod (q-1)) of m(g^l) mod p."""
     spec = f.spec
     n = spec.q - 1
+    first = 0
+    for c in f.coeffs[n::n]:  # c_e for e = q - 1, 2(q - 1), ...
+        first = spec.add(first, c)
+    if first:
+        return 1
     counts = _value_counts(poly_values(f), spec.q)
     sums = spec.transform([counts[v] % spec.p for v in spec.exp])
     return next((k for k in range(1, n + 1) if sums[k % n]), None)

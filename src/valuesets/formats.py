@@ -13,6 +13,13 @@ from .functable import FunctionTable
 from .gf import FieldPoly, field_build
 
 
+# Largest q of a field built from outside input: a polynomial spec, or the
+# field and verify-lemma --q arguments of the CLI.  Condition scans and the
+# average lemma take O(q^2) steps per polynomial (tens of seconds near the
+# limit), and the carry-free addition list of GF(p^k) has (2p - 1)^k entries.
+FIELD_LIMIT = 10_000
+
+
 class InputFormatError(ValueError):
     """Malformed input file."""
 
@@ -94,15 +101,26 @@ def _json_ints(value, what: str) -> list[int]:
     return value
 
 
+def check_field_size(p: int, k: int) -> None:
+    """Refuse GF(p^k) when p^k > FIELD_LIMIT, before anything is built or p
+    is tested for primality.  A large k is refused without computing p^k:
+    for p >= 2, p^k >= 2^k > FIELD_LIMIT once k reaches its bit length."""
+    if p >= 2 and k >= 1 and (k >= FIELD_LIMIT.bit_length() or p**k > FIELD_LIMIT):
+        name = f"GF({p})" if k == 1 else f"GF({p}^{k})"
+        raise InputFormatError(f"{name} is above the field-size limit q <= {FIELD_LIMIT}")
+
+
 def parse_poly_spec(obj: dict) -> FieldPoly:
     """Polynomial spec: {"p": 3, "k": 2, "modulus": [...], "coeffs": [...]}
     with the modulus optional (canonical used when absent) and little-endian
-    including its leading 1."""
+    including its leading 1.  A field above FIELD_LIMIT is refused before it
+    is built."""
     if not isinstance(obj, dict):
         raise InputFormatError("polynomial spec must be a JSON object")
     p, k = obj.get("p"), obj.get("k", 1)
     if type(p) is not int or type(k) is not int:
         raise InputFormatError(f'polynomial spec needs integer "p" and "k", got {p!r}, {k!r}')
+    check_field_size(p, k)
     coeffs = _json_ints(obj.get("coeffs"), '"coeffs"')
     modulus = obj.get("modulus")
     if modulus is not None:

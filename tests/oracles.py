@@ -14,6 +14,8 @@ quantity the library decides with an exact integer kernel:
 - ``dft_oracle``, ``poly_values_horner`` and ``up_invariant_oracle`` compute
   term by term (Horner's rule at every point, the power sums one k at a
   time) what ``FieldSpec.transform`` gets from one integer product;
+- ``average_lemma_terms_oracle`` shifts f by every aX with one field
+  product per point, where ``verify_average_lemma`` rotates discrete logs;
 - ``triangular_B_dp`` runs the Theta(k^1.5) dynamic program over every
   j <= k that the branch and bound of ``triangular_B`` avoids.
 
@@ -151,6 +153,18 @@ def up_invariant_oracle(f: FieldPoly) -> int | None:
         if total != 0:
             return k
     return None
+
+
+def average_lemma_terms_oracle(f: FieldPoly) -> list[int]:
+    """N_2(f(X) + aX) for a = 0, 1, ..., q - 1: q shifted value tables, one
+    spec.mul per entry, each counted by Counter."""
+    spec = f.spec
+    values = poly_values(f)
+    terms = []
+    for a in range(spec.q):
+        shifted = [spec.add(v, spec.mul(a, x)) for x, v in enumerate(values)]
+        terms.append(sum(m * (m - 1) for m in Counter(shifted).values()))
+    return terms
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from valuesets import cli
+from valuesets import cli, formats, gf
 from valuesets.bounds import BK_LIMIT, _bk, triangular_B
 from valuesets.cli import main
 from valuesets.conditions import ClassificationSummary
@@ -180,6 +180,43 @@ def test_field(capsys):
 
 def test_field_bad_modulus(capsys):
     assert main(["field", "--p", "3", "--k", "2", "--modulus", "0,1,1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test-conditions", "--poly", '{"p": 65537, "coeffs": [0, 0, 1]}'],
+        ["verify-lemma", "--poly", '{"p": 65537, "coeffs": [0, 0, 1]}'],
+        ["verify-lemma", "--q", "65537", "--random", "1"],
+        ["field", "--p", "65537"],
+        ["field", "--p", "1000003", "--k", "2"],
+        ["field", "--p", "2", "--k", "16"],
+        ["test-conditions", "--poly", '{"p": 2, "k": 16, "coeffs": [0, 0, 1]}'],
+        ["verify-lemma", "--q", "65536", "--random", "1"],
+        ["field", "--p", "2", "--k", "1000000000"],  # refused without computing 2^k
+        ["field", "--p", str(10**30 + 57)],  # refused before a primality test
+    ],
+)
+def test_fields_above_the_limit_exit_2_before_any_build(capsys, monkeypatch, argv):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a field above the limit was built")
+
+    monkeypatch.setattr(gf, "FieldSpec", forbidden)
+    monkeypatch.setattr(gf, "is_prime", forbidden)
+    monkeypatch.setattr(cli, "prime_power_decomposition", forbidden)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    assert f"field-size limit q <= {formats.FIELD_LIMIT}" in capsys.readouterr().err
+
+
+def test_field_limit_admits_the_largest_pinned_fields(capsys):
+    # GF(4099), GF(5^5) and GF(3^7) are the largest fields of the tests, CI
+    # and the benchmark; the first prime above the limit is refused
+    assert 4099 <= formats.FIELD_LIMIT < 10007
+    code, report = run_cli(capsys, "field", "--p", "5", "--k", "5")
+    assert code == 0 and report["result"]["q"] == 3125
+    assert main(["verify-lemma", "--q", "10007", "--random", "1"]) == 2
 
 
 def test_test_conditions_inline(capsys):

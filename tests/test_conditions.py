@@ -5,6 +5,7 @@ import pytest
 
 from valuesets.conditions import (
     ClassificationBudgetError,
+    _average_lemma_terms,
     ConditionProfile,
     classify_all,
     condition_profile,
@@ -25,6 +26,7 @@ from valuesets.conditions import test_c3 as check_c3
 from valuesets.conditions import test_c4 as check_c4
 from valuesets.functable import FunctionTable, collision_count, image_count
 from valuesets.gf import FieldPoly, field_build, poly_table, primitive_elements
+from oracles import average_lemma_terms_oracle
 
 F5 = field_build(5)
 F7 = field_build(7)
@@ -145,6 +147,25 @@ def test_average_lemma_random_fields():
             f = poly(spec, [rng.randrange(spec.q) for _ in range(spec.q)])
             _, ok = verify_average_lemma(f)
             assert ok
+
+
+def test_average_lemma_terms_match_oracle():
+    # the totals always equal q(q - 1), so compare N_2(f + aX) for each a:
+    # every polynomial of degree below 3 over q <= 9, and sampled dense
+    # polynomials over the fields of the profile-fields benchmark workload
+    for p, k in ((2, 1), (3, 1), (2, 2), (2, 3), (3, 2)):
+        spec = field_build(p, k)
+        for coeffs in itertools.product(range(spec.q), repeat=3):
+            f = poly(spec, coeffs)
+            assert _average_lemma_terms(f) == average_lemma_terms_oracle(f), f
+    rng = random.Random(23)
+    for p, k in ((7, 2), (3, 4), (5, 3), (127, 1), (2, 7), (251, 1)):
+        spec = field_build(p, k)
+        for _ in range(2):
+            f = poly(spec, [rng.randrange(spec.q) for _ in range(spec.q)])
+            terms = _average_lemma_terms(f)
+            assert terms == average_lemma_terms_oracle(f), f
+            assert terms[0] == n2_poly(f) and verify_average_lemma(f) == (sum(terms), True)
 
 
 def test_poly_version_bounds():

@@ -64,6 +64,29 @@ def test_sampled_dense_sparse_and_high_degree_polynomials():
         polys += [[], [rng.randrange(q)]]  # zero and a constant
         for coeffs in polys:
             check(FieldPoly(spec, coeffs))
+    for p, k in SMALL_Q + [(7, 2)]:  # q <= 49
+        check_first_power_sum_from_coefficients(field_build(p, k), rng)
+
+
+def check_first_power_sum_from_coefficients(spec, rng):
+    """sum_x f(x) = -(c_(q-1) + c_(2(q-1)) + ...): u_p = 1 from the
+    coefficients when that sum is nonzero, the transform when it cancels."""
+    q, n = spec.q, spec.q - 1
+    top = [0] * n + [1]  # X^(q - 1), whose power sum is q - 1 = -1
+    check(FieldPoly(spec, top))
+    assert up_invariant(FieldPoly(spec, top)) == 1
+    for _ in range(4):
+        coeffs = [rng.randrange(q) if e % n else 0 for e in range(3 * n + 1)]
+        c, d = rng.randrange(1, q), rng.randrange(1, q)
+        coeffs[n], coeffs[3 * n] = c, d
+        f = FieldPoly(spec, coeffs)
+        check(f)
+        assert (up_invariant(f) == 1) == (spec.add(c, d) != 0), f
+        coeffs[3 * n] = 0
+        coeffs[n], coeffs[2 * n] = c, spec.neg(c)  # cancel: the transform decides
+        f = FieldPoly(spec, coeffs)
+        check(f)
+        assert up_invariant(f) != 1, f
 
 
 def test_large_prime_fields_use_wide_slots():
