@@ -6,7 +6,8 @@ is seeded, so re-running an identical manifest reproduces the report
 byte-for-byte.  Exit codes: 0 all asserted properties hold, 1 a property was
 violated, 2 malformed input or refused budget.  The subcommands that build a
 field (field, test-conditions, verify-lemma) refuse q above
-formats.FIELD_LIMIT.
+formats.FIELD_LIMIT, and verify-lemma --random N refuses q^2 * N above
+LEMMA_BUDGET.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ from .functable import (
     spectrum,
 )
 from .gf import FieldPoly, field_build, poly_table, primitive_elements, prime_power_decomposition
+
+# Cap on q^2 * N for verify-lemma --random N: each polynomial costs O(q^2)
+# steps, about 16 s at q^2 = 10^8 on a shared 2-vCPU host.  A single
+# polynomial over any field below formats.FIELD_LIMIT fits.
+LEMMA_BUDGET = 10**8
 
 
 def _digest_file(args, path) -> None:
@@ -201,6 +207,12 @@ def _cmd_verify_lemma(args):
         if args.random < 1:
             raise InputFormatError(f"--random must be at least 1, got {args.random}")
         check_field_size(args.q, 1)
+        work = args.q**2 * args.random
+        if work > LEMMA_BUDGET:
+            raise InputFormatError(
+                f"verify-lemma --q {args.q} --random {args.random} means q^2 * N = {work} "
+                f"steps, over the budget {LEMMA_BUDGET}; lower --random"
+            )
         p, k = prime_power_decomposition(args.q)
         spec = field_build(p, k)
         rng = random.Random(args.seed)

@@ -25,11 +25,24 @@ The rest of the per-polynomial path makes no field call per pair (x, a) or
 map chain and one Counter per a.  A table failing C2 names its least failing
 h from the trace counts of its value counts, and never builds c(h).  u_p = 1
 is read from the coefficients, sum_x f(x) = -sum c_e over e >= 1 with
-(q - 1) | e, before any value or transform is computed.
+(q - 1) | e, before any value or transform is computed, and so is u_p of a
+monomial.
+
+The C1 and C3 scans of one polynomial visit only the shifts a that its
+coefficients leave open (_scan_shifts); the classification scans them all.
+For f = alpha X^e plus an affine part (terms of degree 0 and p^i only),
+every difference map is a scaled copy of the one at a = 1, so C1 needs that
+row alone, and C3 too when the affine part is a constant.  When every
+coefficient lies in GF(p), the rows a and a^p agree, so the scans visit the
+least element of each Frobenius orbit only.  The lattice then saves the rest
+(profile_from_values): a planar table meets C2 and C3 with no further scan,
+and when C1 fails first at a1 the C3 scan starts at a1, since every earlier
+difference map is a bijection and has exactly one root.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 from collections import Counter
@@ -165,9 +178,10 @@ def _spread_lists(spec: FieldSpec, values) -> tuple[list[int], list[int]]:
     return list(map(spec.spread.__getitem__, values)), list(map(spec.nspread.__getitem__, values))
 
 
-def _c1_scan(S, N, red, add) -> int | None:
-    """First a != 0 whose difference map is not a bijection, else None."""
-    for a in range(1, len(S)):
+def _c1_scan(S, N, red, add, shifts=None) -> int | None:
+    """First a among shifts (default: every a != 0, increasing) whose
+    difference map is not a bijection, else None."""
+    for a in range(1, len(S)) if shifts is None else shifts:
         seen = set()
         for s, n in zip(add[a], N):  # s = x + a, n = nspread f(x)
             d = red[S[s] + n]  # f(x + a) - f(x)
@@ -211,16 +225,14 @@ def _c2_scan(spec: FieldSpec, counts, n2: int) -> int | None:
     minimal polynomial is 1 + X + ... + X^(p-1), so it equals q iff
     d[0] - q = d[1] = ... = d[p-1].
 
-    Over GF(p) a table failing C4 needs no scan: Tr(u) = u, so d = c for
-    h = 1, and c(0) = q + N_2 != 2q - 1 breaks d[0] - q = d[1] = ... at once
-    (the d[j] sum to q^2, so they force c(0) = 2q - 1).  A table meeting C4
-    that fails C2 fails at h = 1 as well: the Galois map w -> w^h takes
-    |S_1|^2 to |S_h|^2 and fixes q, so over GF(p) the scan ends at h = 1."""
+    Over GF(p) a table failing the integer test needs no scan: its least
+    failing h is 1, since the Galois map w -> w^h takes |S_1|^2 to |S_h|^2
+    and fixes q, so |S_1|^2 = q would give |S_h|^2 = q for every h."""
     q, p = spec.q, spec.p
-    if spec.k == 1 and n2 != q - 1:
-        return 1
     if _c2_holds(spec, counts, n2):
         return None
+    if spec.k == 1:
+        return 1
     mul, tr = spec.mul, spec.trace_int
     support = [(v, m) for v, m in enumerate(counts) if m]
     for h in range(1, q):
@@ -237,9 +249,10 @@ def _c2_scan(spec: FieldSpec, counts, n2: int) -> int | None:
     raise AssertionError("integer C2 test failed but every |S_h|^2 equals q")
 
 
-def _c3_scan(values, add) -> int | None:
-    """First a != 0 whose difference map has root count != 1, else None."""
-    for a in range(1, len(values)):
+def _c3_scan(values, add, shifts=None) -> int | None:
+    """First a among shifts (default: every a != 0, increasing) whose
+    difference map has root count != 1, else None."""
+    for a in range(1, len(values)) if shifts is None else shifts:
         roots = 0
         for s, v in zip(add[a], values):  # s = x + a, v = f(x)
             if values[s] == v:
@@ -251,14 +264,26 @@ def _c3_scan(values, add) -> int | None:
     return None
 
 
-def profile_from_values(spec: FieldSpec, values) -> ConditionProfile:
+def profile_from_values(
+    spec: FieldSpec, values, c1_shifts=None, c3_shifts=None
+) -> ConditionProfile:
+    """Condition profile of a value table.  The C1 and C3 scans visit only
+    c1_shifts and c3_shifts (default: every a != 0), which must include the
+    least failing a of the full scan when there is one (_scan_shifts).
+
+    The lattice saves the later scans: C1 implies C2 and C3, so a planar
+    table is done after C1.  A bijective difference map has exactly one
+    root, so when C1 fails first at a1 the C3 scan starts at a1."""
     q = spec.q
     add = spec.add_rows()
     counts = _value_counts(values, q)
     n2 = _n2(counts)
-    a1 = _c1_scan(*_spread_lists(spec, values), spec.reduce, add)
-    h2 = _c2_scan(spec, counts, n2)
-    a3 = _c3_scan(values, add)
+    a1 = _c1_scan(*_spread_lists(spec, values), spec.reduce, add, c1_shifts)
+    h2 = a3 = None
+    if a1 is not None:
+        h2 = _c2_scan(spec, counts, n2)
+        later = range(a1, q) if c3_shifts is None else [a for a in c3_shifts if a >= a1]
+        a3 = _c3_scan(values, add, later)
     note = None
     if spec.p == 2:
         note = "even characteristic: N_2 is even, so C4 (and with it C1) cannot hold"
@@ -277,9 +302,40 @@ def profile_from_values(spec: FieldSpec, values) -> ConditionProfile:
 
 # -- polynomial level API -----------------------------------------------------
 
+def _is_p_power(e: int, p: int) -> bool:
+    while e % p == 0:
+        e //= p
+    return e == 1
+
+
+def _scan_shifts(f: FieldPoly) -> tuple:
+    """The shifts a that decide C1 and C3 for f, as (C1 shifts, C3 shifts),
+    None meaning every a != 0; each holds the least failing a of its full
+    scan when there is one.
+
+    Monomial plus affine part: for f = alpha X^e + L(X) + c with L additive
+    (terms X^(p^i) only), D_a f(ay) = alpha a^e D_1(X^e)(y) + L(a), so every
+    row is a bijection iff row 1 is, and C1 needs the shift 1 alone.  With
+    L = 0 the roots of D_a f are a times those of D_1 f, so C3 needs the
+    shift 1 alone too.
+
+    Frobenius: when every coefficient lies in GF(p), f(x^p) = f(x)^p, so
+    D_(a^p) f(x^p) = (D_a f(x))^p, and rows a and a^p agree on bijectivity
+    and root count.  The scans visit the orbit minima, in increasing order;
+    the least failing a is one of them."""
+    spec = f.spec
+    p = spec.p
+    terms = [e for e, c in enumerate(f.coeffs) if c and e]
+    orbits = spec.frobenius_minima if spec.k > 1 and all(c < p for c in f.coeffs) else None
+    c1 = (1,) if sum(not _is_p_power(e, p) for e in terms) <= 1 else orbits
+    c3 = (1,) if len(terms) <= 1 else orbits
+    return c1, c3
+
+
 def test_c1(f: FieldPoly) -> tuple[bool, int | None]:
     spec = f.spec
-    a = _c1_scan(*_spread_lists(spec, poly_values(f)), spec.reduce, spec.add_rows())
+    shifts, _ = _scan_shifts(f)
+    a = _c1_scan(*_spread_lists(spec, poly_values(f)), spec.reduce, spec.add_rows(), shifts)
     return a is None, a
 
 
@@ -290,7 +346,8 @@ def test_c2(f: FieldPoly) -> tuple[bool, int | None]:
 
 
 def test_c3(f: FieldPoly) -> tuple[bool, int | None]:
-    a = _c3_scan(poly_values(f), f.spec.add_rows())
+    _, shifts = _scan_shifts(f)
+    a = _c3_scan(poly_values(f), f.spec.add_rows(), shifts)
     return a is None, a
 
 
@@ -303,7 +360,7 @@ def test_c4(f: FieldPoly) -> bool:
 
 
 def condition_profile(f: FieldPoly) -> ConditionProfile:
-    return profile_from_values(f.spec, poly_values(f))
+    return profile_from_values(f.spec, poly_values(f), *_scan_shifts(f))
 
 
 def _average_lemma_terms(f: FieldPoly) -> list[int]:
@@ -356,9 +413,11 @@ def up_invariant(f: FieldPoly) -> int | None:
     k = 1 is read from the coefficients: sum_x x^e is -1 when e >= 1 and
     (q-1) | e, and 0 otherwise (q * 1 = 0 at e = 0), so sum_x f(x) is minus
     the sum of those c_e.  When that is nonzero, u_p = 1 and no value is
-    computed.  Otherwise, for k >= 1, sum_x f(x)^k = sum_l m(g^l) g^(lk),
-    where m(v) is the number of x with f(x) = v, taken mod p: the
-    transform's X_(k mod (q-1)) of m(g^l) mod p."""
+    computed.  A monomial alpha X^e, e >= 1, has sum_x f(x)^k =
+    alpha^k sum_x x^(ek), so u_p is the least k with (q-1) | ek, that is
+    (q-1) / gcd(e, q-1).  Otherwise, for k >= 1, sum_x f(x)^k =
+    sum_l m(g^l) g^(lk), where m(v) is the number of x with f(x) = v, taken
+    mod p: the transform's X_(k mod (q-1)) of m(g^l) mod p."""
     spec = f.spec
     n = spec.q - 1
     first = 0
@@ -366,6 +425,9 @@ def up_invariant(f: FieldPoly) -> int | None:
         first = spec.add(first, c)
     if first:
         return 1
+    terms = [e for e, c in enumerate(f.coeffs) if c]
+    if len(terms) == 1 and terms[0]:
+        return n // math.gcd(terms[0], n)
     counts = _value_counts(poly_values(f), spec.q)
     sums = spec.transform([counts[v] % spec.p for v in spec.exp])
     return next((k for k in range(1, n + 1) if sums[k % n]), None)

@@ -278,6 +278,20 @@ class FieldSpec:
             out[v] = i
         return out
 
+    @cached_property
+    def frobenius_minima(self) -> list[int]:
+        """The x != 0 that are least in their Frobenius orbit {x, x^p,
+        x^(p^2), ...}, increasing; log(x^p) = p log(x) mod (q - 1)."""
+        n, p, exp = self.q - 1, self.p, self.exp
+        out = []
+        for l, x in enumerate(exp):
+            y = l * p % n
+            while y != l and exp[y] > x:
+                y = y * p % n
+            if y == l:
+                out.append(x)
+        return sorted(out)
+
     # -- arithmetic on integer encodings ------------------------------------
 
     @cached_property

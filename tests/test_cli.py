@@ -317,6 +317,41 @@ def test_verify_lemma_random_below_one_exits_2(capsys):
         assert "--random must be at least 1" in captured.err
 
 
+def test_verify_lemma_random_over_the_work_budget_exits_2(capsys, monkeypatch):
+    # the default --random 25 over GF(9973) is 2.5e9 steps (minutes); it is
+    # refused before a field or a coefficient list is built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a refused lemma run built something")
+
+    for name in ("field_build", "FieldPoly", "prime_power_decomposition", "verify_average_lemma"):
+        monkeypatch.setattr(cli, name, forbidden)
+    for argv in (["--q", "9973"], ["--q", "4099", "--random", "6"]):
+        start = time.perf_counter()
+        assert main(["verify-lemma", *argv]) == 2
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"over the budget {cli.LEMMA_BUDGET}" in captured.err
+
+
+def test_verify_lemma_random_within_the_work_budget_runs(capsys, monkeypatch):
+    # --random 1 over GF(4099) (a CI step) and up to 5 = 10^8 // 4099^2
+    # polynomials are admitted; the lemma itself is stubbed to keep this fast
+    assert 4099**2 * 5 <= cli.LEMMA_BUDGET < 4099**2 * 6
+    assert 9973**2 <= cli.LEMMA_BUDGET  # one polynomial over any admitted field
+    calls = []
+
+    def stub(poly):
+        calls.append(poly)
+        q = poly.spec.q
+        return q * (q - 1), True
+
+    monkeypatch.setattr(cli, "verify_average_lemma", stub)
+    for count in (1, 5):
+        calls.clear()
+        code, report = run_cli(capsys, "verify-lemma", "--q", "4099", "--random", str(count))
+        assert code == 0 and report["result"]["count"] == count and len(calls) == count
+
+
 def test_verify_lemma_poly(capsys):
     code, report = run_cli(
         capsys, "verify-lemma", "--poly", '{"p": 5, "coeffs": [0, 0, 1]}'

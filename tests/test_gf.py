@@ -451,3 +451,16 @@ def test_field_spec_refuses_non_int_parameters():
     with pytest.raises(FieldConstructionError):
         FieldSpec(3, 2, [1.0, 0, 1])
     assert FieldSpec(3, 2, [1, 0, 1]) == F9
+
+
+def test_frobenius_minima_are_the_least_of_each_orbit():
+    for p, k in ((2, 1), (7, 1), (2, 4), (3, 2), (3, 3), (2, 6), (5, 2)):
+        spec = field_build(p, k)
+        orbits = set()
+        for x in range(1, spec.q):
+            orbit, y = [x], spec.pow(x, p)
+            while y != x:
+                orbit.append(y)
+                y = spec.pow(y, p)
+            orbits.add(min(orbit))
+        assert spec.frobenius_minima == sorted(orbits), (p, k)

@@ -7,6 +7,10 @@ with a direct scan: the character-sum count vectors for C2, the root count
 of every difference map for C3, and the bijectivity of every difference map
 for C1.  The comparison is exhaustive over all q^q tables at q = 3, 4, 5 and
 sampled above that.
+
+The per-polynomial path scans only the shifts that the coefficients leave
+open (conditions._scan_shifts); each reduced scan is compared here with the
+full scan of the same kernel.
 """
 
 import itertools
@@ -18,8 +22,16 @@ import pytest
 
 from valuesets import conditions
 from valuesets.conditions import (
+    _c1_scan,
+    _c2_scan,
+    _c3_scan,
     _classify_shard,
+    _n2,
+    _scan_shifts,
+    _spread_lists,
+    _value_counts,
     classify_all,
+    condition_profile,
     difference_values,
     index_to_values,
     profile_from_values,
@@ -146,10 +158,12 @@ def test_passing_tables_never_touch_character_sums(monkeypatch):
 def test_c2_scan_refuses_to_disagree(monkeypatch):
     # a planar table passes the integer test; forcing that test to fail
     # leaves the witness scan without a witness, which must not pass silently
+    # (over GF(p) the scan names h = 1 without searching, so the field is GF(9))
     monkeypatch.setattr(conditions, "_c2_holds", lambda *args: False)
-    spec = field_build(7)
+    spec = field_build(3, 2)
+    counts = _value_counts(poly_values(FieldPoly(spec, [0, 0, 1])), spec.q)
     with pytest.raises(AssertionError, match="integer C2 test"):
-        profile_from_values(spec, poly_values(FieldPoly(spec, [0, 0, 1])))
+        _c2_scan(spec, counts, _n2(counts))
 
 
 def test_classify_caps_workers_at_cpu_count(monkeypatch):
@@ -173,3 +187,70 @@ def test_classify_caps_workers_at_cpu_count(monkeypatch):
     summary = classify_all(3, jobs=64)
     assert recorded == [2]  # 27 shards, 2 CPUs
     assert summary.mask_counts == {"0000": 9, "1111": 18}
+
+
+def full_scans(f):
+    """Witnesses of the full C1, C2 and C3 scans: every shift, no lattice."""
+    spec = f.spec
+    values, add = poly_values(f), spec.add_rows()
+    counts = _value_counts(values, spec.q)
+    return (
+        _c1_scan(*_spread_lists(spec, values), spec.reduce, add),
+        _c2_scan(spec, counts, _n2(counts)),
+        _c3_scan(values, add),
+    )
+
+
+def check_reduced_scans(f):
+    a1, h2, a3 = full_scans(f)
+    assert conditions.test_c1(f) == (a1 is None, a1), f
+    assert conditions.test_c3(f) == (a3 is None, a3), f
+    profile = condition_profile(f)
+    assert (profile.c1_witness, profile.c2_witness, profile.c3_witness) == (a1, h2, a3), f
+    return a1, a3
+
+
+def test_monomial_plus_affine_shifts_match_full_scans():
+    # alpha X^e + L(X) + c with L additive: C1 is decided by the shift 1
+    # alone, and C3 too when L = 0; every e, with and without affine terms
+    rng = random.Random("monomial-shifts")
+    for p, k in ((3, 3), (5, 2), (3, 4), (7, 2)):
+        spec = field_build(p, k)
+        q = spec.q
+        for e in range(1, q + 1):
+            for affine in ({}, {0: rng.randrange(1, q)},
+                           {0: rng.randrange(q), 1: rng.randrange(1, q), p: rng.randrange(q)}):
+                coeffs = [0] * (max(e, p) + 1)
+                for d, c in affine.items():
+                    coeffs[d] = c
+                coeffs[e] = rng.randrange(1, q)
+                f = FieldPoly(spec, coeffs)
+                c1_shifts, c3_shifts = _scan_shifts(f)
+                assert c1_shifts == (1,), f
+                if set(affine) <= {0}:
+                    assert c3_shifts == (1,), f
+                a1, _ = check_reduced_scans(f)
+                assert a1 in (1, None)
+
+
+def test_frobenius_shifts_match_full_scans():
+    # coefficients in GF(p): the scans visit the Frobenius orbit minima, and
+    # the least failing shift of the full scan is always one of them
+    rng = random.Random("frobenius-shifts")
+    for p, k in ((3, 5), (5, 3), (2, 6)):
+        spec = field_build(p, k)
+        reduced = later = 0
+        for _ in range(70):
+            d = rng.randint(3, 12)
+            f = FieldPoly(spec, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)])
+            reduced += _scan_shifts(f)[0] is spec.frobenius_minima
+            a1, a3 = check_reduced_scans(f)
+            later += (a1 or 1) > 1 or (a3 or 1) > 1
+        assert reduced > 40, (p, k, reduced)
+        if p != 2:  # in even characteristic every row fails at a = 1
+            assert later > 5, (p, k, later)
+        for _ in range(20):  # a coefficient outside GF(p): every shift
+            coeffs = [rng.randrange(p) for _ in range(6)] + [1, p]  # p is the least such
+            f = FieldPoly(spec, coeffs)
+            assert _scan_shifts(f) == (None, None), f
+            check_reduced_scans(f)

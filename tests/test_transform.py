@@ -12,7 +12,7 @@ import random
 import pytest
 
 from valuesets.conditions import up_invariant
-from valuesets.gf import FieldPoly, _slot_type, field_build, poly_values
+from valuesets.gf import FieldPoly, FieldSpec, _slot_type, field_build, poly_values
 from oracles import dft_oracle, poly_values_horner, up_invariant_oracle
 
 SMALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]  # q <= 9
@@ -66,6 +66,24 @@ def test_sampled_dense_sparse_and_high_degree_polynomials():
             check(FieldPoly(spec, coeffs))
     for p, k in SMALL_Q + [(7, 2)]:  # q <= 49
         check_first_power_sum_from_coefficients(field_build(p, k), rng)
+
+
+def test_monomial_power_sums_from_the_exponent(monkeypatch):
+    # alpha X^e: u_p = (q - 1) / gcd(e, q - 1), read without any transform
+    rng = random.Random(4)
+    cases = []
+    for p, k in SMALL_Q + [(7, 2), (3, 3)]:
+        spec = field_build(p, k)
+        for e in range(1, 3 * spec.q):
+            coeffs = [0] * e + [rng.randrange(1, spec.q)]
+            cases.append((spec, coeffs, up_invariant_oracle(FieldPoly(spec, coeffs))))
+
+    def forbidden(*args):
+        raise AssertionError("a monomial's power sums went through the transform")
+
+    monkeypatch.setattr(FieldSpec, "transform", forbidden)
+    for spec, coeffs, u in cases:
+        assert up_invariant(FieldPoly(spec, coeffs)) == u, (spec, coeffs)
 
 
 def check_first_power_sum_from_coefficients(spec, rng):
