@@ -1,12 +1,14 @@
 """The integer condition kernel against its slow oracles.
 
-profile_from_values decides C2 from difference counts, C1 and C3 from the
-field's carry-free addition lists and shift rows, and searches for a C2 witness only when the
-integer test fails.  Each bit and each witness is compared here
-with a direct scan: the character-sum count vectors for C2, the root count
+The kernel decides C2 from difference counts, C1 and C3 from the field's
+carry-free addition lists and shift rows, and searches for a C2 witness only
+when the integer test fails.  Its full scans (_c1_scan, _c2_scan and
+_c3_scan over every shift, with no lattice) are compared witness by witness
+with direct scans: the character-sum count vectors for C2, the root count
 of every difference map for C3, and the bijectivity of every difference map
-for C1.  The comparison is exhaustive over all q^q tables at q = 3, 4, 5 and
-sampled above that.
+for C1.  profile_from_values, which skips the scans that C1 decides, is
+compared with the same oracles.  The comparison is exhaustive over all q^q
+tables at q = 3, 4, 5 and sampled above that.
 
 The per-polynomial path scans only the shifts that the coefficients leave
 open (conditions._scan_shifts); each reduced scan is compared here with the
@@ -68,9 +70,21 @@ def oracle_c3(spec, values):
     return None
 
 
+def full_scans(spec, values):
+    """Witnesses of the full C1, C2 and C3 scans: every shift, no lattice."""
+    add = spec.add_rows()
+    counts = _value_counts(values, spec.q)
+    return (
+        _c1_scan(*_spread_lists(spec, values), spec.reduce, add),
+        _c2_scan(spec, counts, _n2(counts)),
+        _c3_scan(values, add),
+    )
+
+
 def check_against_oracles(spec, values):
-    profile = profile_from_values(spec, values)
     witnesses = (oracle_c1(spec, values), oracle_c2(spec, values), oracle_c3(spec, values))
+    assert full_scans(spec, values) == witnesses, (spec, values)
+    profile = profile_from_values(spec, values)
     got = (profile.c1_witness, profile.c2_witness, profile.c3_witness)
     assert got == witnesses, (spec, values)
     assert (profile.c1, profile.c2, profile.c3) == tuple(w is None for w in witnesses)
@@ -149,8 +163,11 @@ def test_passing_tables_never_touch_character_sums(monkeypatch):
     monkeypatch.setattr(FieldSpec, "trace_mul_rows", forbidden)
     for p, k in ((7, 1), (3, 2), (5, 2), (3, 4)):
         spec = field_build(p, k)
-        profile = profile_from_values(spec, poly_values(FieldPoly(spec, [1, 2, 1])))
-        assert profile.mask == "1111"
+        values = poly_values(FieldPoly(spec, [1, 2, 1]))
+        # the C2 scan itself: profile_from_values skips it on a planar table
+        counts = _value_counts(values, spec.q)
+        assert _c2_scan(spec, counts, _n2(counts)) is None
+        assert profile_from_values(spec, values).mask == "1111"
     counts, _ = _classify_shard((3, 1, None, 0, 3**3))
     assert counts[0b1111] == 18
 
@@ -189,20 +206,8 @@ def test_classify_caps_workers_at_cpu_count(monkeypatch):
     assert summary.mask_counts == {"0000": 9, "1111": 18}
 
 
-def full_scans(f):
-    """Witnesses of the full C1, C2 and C3 scans: every shift, no lattice."""
-    spec = f.spec
-    values, add = poly_values(f), spec.add_rows()
-    counts = _value_counts(values, spec.q)
-    return (
-        _c1_scan(*_spread_lists(spec, values), spec.reduce, add),
-        _c2_scan(spec, counts, _n2(counts)),
-        _c3_scan(values, add),
-    )
-
-
 def check_reduced_scans(f):
-    a1, h2, a3 = full_scans(f)
+    a1, h2, a3 = full_scans(f.spec, poly_values(f))
     assert conditions.test_c1(f) == (a1 is None, a1), f
     assert conditions.test_c3(f) == (a3 is None, a3), f
     profile = condition_profile(f)
