@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify", help="profile all q^q value tables over GF(q)")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--modulus", help="little-endian coefficients incl. leading 1")
-    sp.add_argument("--jobs", type=int, default=1, help="worker count (default 1)")
+    sp.add_argument("--jobs", type=int, default=1, help="min(jobs, CPUs) workers, jobs >= 1 (default 1)")
     sp.add_argument("--budget", type=int, default=None, help="enumeration budget override")
     sp.set_defaults(handler=_cmd_classify)
 

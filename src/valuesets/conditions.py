@@ -455,13 +455,6 @@ def index_to_values(index: int, q: int) -> list[int]:
     return out
 
 
-def values_to_index(values, q: int) -> int:
-    index = 0
-    for v in values:
-        index = index * q + v
-    return index
-
-
 def _classify_shard(args) -> tuple[list[int], list[int | None]]:
     """Profile every value table with index in [lo, hi); returns per-mask
     counts and the first (minimal) index seen per mask."""
@@ -519,10 +512,13 @@ def classify_all(
 ) -> ClassificationSummary:
     """Profile all q^q value tables over GF(q) and aggregate by condition mask.
 
-    Enumeration is lexicographic on value tables; with several jobs the range
-    is split into contiguous shards whose merge (count sums, minimum witness
-    index) makes the summary independent of the shard count.
+    Enumeration is lexicographic on value tables.  The range is split into
+    min(jobs, CPUs) contiguous shards, one per worker process (none for a
+    single shard), whose merge (count sums, minimum witness index) makes the
+    summary independent of the shard count.  jobs must be an int >= 1.
     """
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
     p, k = prime_power_decomposition(q)
     total = q**q
     if total > budget:
@@ -533,17 +529,12 @@ def classify_all(
     spec = field_build(p, k, modulus)
     mod = spec.modulus
 
-    jobs = max(1, jobs)
-    shards = []
-    step = -(-total // jobs)
-    for lo in range(0, total, step):
-        shards.append((p, k, mod, lo, min(lo + step, total)))
-
+    step = -(-total // min(jobs, os.cpu_count() or 1))
+    shards = [(p, k, mod, lo, min(lo + step, total)) for lo in range(0, total, step)]
     if len(shards) == 1:
         results = [_classify_shard(shards[0])]
     else:
-        workers = min(jobs, len(shards), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
             results = list(pool.map(_classify_shard, shards))
 
     counts = [0] * 16

@@ -7,11 +7,11 @@ for primitive-element enumeration.  Every element argument is an element of
 the same field or an int encoding in [0, q); anything else raises ValueError
 (FieldSpec.encoding).  Addition is carry-free for every field: three
 lists of q, q and (2p - 1)^k entries, built on first use, and no q x q
-table (FieldSpec).  Polynomial values and power sums go through one
-length-(q - 1) DFT over GF(q), computed as a single integer product
-(FieldSpec.transform).  field_build keeps the fields it built, so each is
-planned once per process.  Intended for desk-scale fields (q up to ~10^4);
-irreducibility is certified by trial division.
+table (FieldSpec).  Polynomial values, power sums and interpolation go
+through one length-(q - 1) DFT over GF(q), computed as a single integer
+product (FieldSpec.transform).  field_build keeps the fields it built, so
+each is planned once per process.  Intended for desk-scale fields (q up to
+~10^4); irreducibility is certified by trial division.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import gcd
 
 from .functable import FunctionTable
 
@@ -222,8 +223,6 @@ class FieldSpec:
                 if lead:
                     for i, c in enumerate(self.modulus[:-1]):
                         cur[i] = (cur[i] - lead * c) % p
-        self._trace_cache = None
-        self._trace_mul_cache = None
 
     def _raw_mul(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -341,27 +340,30 @@ class FieldSpec:
             return pow(x, e, self.p)
         return self.exp[self.log[x] * e % (self.q - 1)]
 
+    @cached_property
+    def traces(self) -> list[int]:
+        """traces[a] = Tr(a) = a + a^p + ... + a^(p^(k-1)), an encoding in
+        [0, p).  Tr is F_p-linear, Tr(sum d_i X^i) = sum d_i Tr(X^i), so the
+        list follows from the traces of the basis X^i (encoding p^i)."""
+        p, k = self.p, self.k
+        basis = []
+        for i in range(k):
+            acc = [0] * k
+            y = p**i
+            for _ in range(k):
+                acc = [(s + d) % p for s, d in zip(acc, _digits_of(y, p, k))]
+                y = self.pow(y, p)
+            if any(acc[1:]):
+                raise AssertionError("trace left the prime subfield")
+            basis.append(acc[0])
+        table = [0]
+        for t in basis:  # extend from p^i to p^(i+1) encodings by digit i
+            table = [(s + d * t) % p for d in range(p) for s in table]
+        return table
+
     def trace_int(self, a: int) -> int:
-        """Tr(a) = a + a^p + ... + a^(p^(k-1)), as an encoding in [0, p)."""
-        if self._trace_cache is None:
-            p, k = self.p, self.k
-            # Tr is F_p-linear: Tr(sum d_i X^i) = sum d_i Tr(X^i), so the
-            # table follows from the traces of the basis X^i (encoding p^i)
-            basis = []
-            for i in range(k):
-                acc = [0] * k
-                y = p**i
-                for _ in range(k):
-                    acc = [(s + d) % p for s, d in zip(acc, _digits_of(y, p, k))]
-                    y = self.pow(y, p)
-                if any(acc[1:]):
-                    raise AssertionError("trace left the prime subfield")
-                basis.append(acc[0])
-            table = [0]
-            for t in basis:  # extend from p^i to p^(i+1) encodings by digit i
-                table = [(s + d * t) % p for d in range(p) for s in table]
-            self._trace_cache = table
-        return self._trace_cache[a]
+        """Tr(a), an encoding in [0, p)."""
+        return self.traces[a]
 
     # -- helper tables (condition kernel) ------------------------------------
 
@@ -384,19 +386,11 @@ class FieldSpec:
         spread, nspread, red = self.spread, self.nspread, self.reduce
         return _Rows(lambda u: list(map(red.__getitem__, map(spread[u].__add__, nspread))))
 
-    def trace_mul_rows(self) -> list[list[int]]:
-        """trace_mul_rows()[h][c] = Tr(h*c), encodings in [0, p); a q x q
-        table kept for tracing and tests, refused above q = 2048."""
-        if self._trace_mul_cache is None:
-            if self.q > 2048:
-                raise FieldConstructionError(
-                    f"the q x q trace table is limited to q <= 2048, got q = {self.q}"
-                )
-            self._trace_mul_cache = [
-                [self.trace_int(self.mul(h, c)) for c in range(self.q)]
-                for h in range(self.q)
-            ]
-        return self._trace_mul_cache
+    def trace_mul_rows(self):
+        """trace_mul_rows()[h][c] = Tr(h*c); each row of q entries is built
+        when read."""
+        tr, mul, q = self.traces, self.mul, self.q
+        return _Rows(lambda h: [tr[mul(h, c)] for c in range(q)])
 
     # -- the discrete Fourier transform over GF(q) -----------------------------
 
@@ -558,18 +552,17 @@ class FieldElement:
 
 
 def is_primitive(x: FieldElement) -> bool:
-    """True iff x generates the multiplicative group."""
+    """True iff x generates the multiplicative group: gcd(log x, q - 1) = 1."""
     if x.value == 0:
         raise ValueError("0 is not in the multiplicative group")
-    spec = x.spec
-    q = spec.q
-    return all(
-        spec.pow(x.value, (q - 1) // ell) != 1 for ell in prime_factors(q - 1)
-    )
+    return gcd(x.spec.log[x.value], x.spec.q - 1) == 1
 
 
 def primitive_elements(spec: FieldSpec) -> list[FieldElement]:
-    return [e for e in spec.elements() if e.value != 0 and is_primitive(e)]
+    """The generators g^i with gcd(i, q - 1) = 1, in encoding order."""
+    n = spec.q - 1
+    gens = sorted(x for i, x in enumerate(spec.exp) if gcd(i, n) == 1)
+    return [spec.element(x) for x in gens]
 
 
 class FieldPoly:
@@ -641,28 +634,19 @@ def poly_table(f: FieldPoly) -> FunctionTable:
 
 
 def interpolate(table: FunctionTable, spec: FieldSpec) -> FieldPoly:
-    """Unique reduced polynomial with the given value table.
+    """Unique reduced polynomial with the given value table, by inverting
+    poly_values' transform.
 
-    Uses Lagrange interpolation in the form f = -sum_c y_c * (X^q - X)/(X - c),
-    exploiting that the derivative of X^q - X is the constant -1.
-    """
+    For x = g^l, f(g^l) = sum_(j < q-1) b_j g^(jl) with b_0 = c_0 + c_(q-1)
+    and b_j = c_j otherwise.  Since (q - 1)^-1 = -1 in GF(q), the inverse
+    transform is b_j = -X_((-j) mod (q - 1)) for the transform X of the
+    values at g^0 .. g^(q-2); c_0 = f(0) and c_(q-1) = b_0 - c_0."""
     q = spec.q
     if table.domain_size != q:
         raise ValueError(f"table must cover all {q} field elements")
     if any(v >= q for v in table.values):
         raise ValueError("table labels must be field-element encodings")
-    coeffs = [0] * q
-    minus_one = spec.neg(1)
-    for c, y in enumerate(table.values):
-        if y == 0:
-            continue
-        # synthetic division of X^q - X by (X - c), highest coefficient first
-        scale = spec.mul(minus_one, y)
-        b = 1
-        coeffs[q - 1] = spec.add(coeffs[q - 1], scale)
-        for j in range(q - 2, 0, -1):
-            b = spec.mul(c, b)
-            coeffs[j] = spec.add(coeffs[j], spec.mul(scale, b))
-        b = spec.add(spec.mul(c, b), minus_one)  # absorbs the -X term
-        coeffs[0] = spec.add(coeffs[0], spec.mul(scale, b))
-    return FieldPoly(spec, coeffs)
+    values, n = table.values, q - 1
+    t = spec.transform([values[x] for x in spec.exp])
+    b = [spec.neg(t[-j % n]) for j in range(n)]
+    return FieldPoly(spec, [values[0], *b[1:], spec.sub(b[0], values[0])])

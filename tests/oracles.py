@@ -11,6 +11,10 @@ quantity the library decides with an exact integer kernel:
   time, where the condition kernel tests difference counts;
 - ``reduce_mod_qx`` reduces exponents mod X^q - X, a normal form the tests
   compare ``interpolate`` with;
+- ``interpolate_oracle`` divides X^q - X by X - c for every point c, where
+  ``interpolate`` inverts the transform of ``poly_values``;
+- ``is_primitive_oracle`` raises x to (q - 1)/l for each prime l | q - 1,
+  where ``is_primitive`` reads one discrete log;
 - ``dft_oracle``, ``poly_values_horner`` and ``up_invariant_oracle`` compute
   term by term (Horner's rule at every point, the power sums one k at a
   time) what ``FieldSpec.transform`` gets from one integer product;
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from valuesets.bounds import triangular_number
 from valuesets.energy import SubsetPair
 from valuesets.functable import FunctionTable
-from valuesets.gf import FieldPoly, FieldSpec, poly_values
+from valuesets.gf import FieldElement, FieldPoly, FieldSpec, poly_values, prime_factors
 
 ORACLE_BUDGET = 10**8  # max n**s a brute-force oracle will accept
 ENERGY_ORACLE_BUDGET = 10**8  # max quadruples the brute-force oracle will visit
@@ -112,6 +116,46 @@ def reduce_mod_qx(f: FieldPoly) -> FieldPoly:
         jr = 0 if j == 0 else (j - 1) % (q - 1) + 1
         out[jr] = spec.add(out[jr], c)
     return FieldPoly(spec, out)
+
+
+def interpolate_oracle(table: FunctionTable, spec: FieldSpec) -> FieldPoly:
+    """Unique reduced polynomial with the given value table.
+
+    Uses Lagrange interpolation in the form f = -sum_c y_c * (X^q - X)/(X - c),
+    exploiting that the derivative of X^q - X is the constant -1.
+    """
+    q = spec.q
+    if table.domain_size != q:
+        raise ValueError(f"table must cover all {q} field elements")
+    if any(v >= q for v in table.values):
+        raise ValueError("table labels must be field-element encodings")
+    coeffs = [0] * q
+    minus_one = spec.neg(1)
+    for c, y in enumerate(table.values):
+        if y == 0:
+            continue
+        # synthetic division of X^q - X by (X - c), highest coefficient first
+        scale = spec.mul(minus_one, y)
+        b = 1
+        coeffs[q - 1] = spec.add(coeffs[q - 1], scale)
+        for j in range(q - 2, 0, -1):
+            b = spec.mul(c, b)
+            coeffs[j] = spec.add(coeffs[j], spec.mul(scale, b))
+        b = spec.add(spec.mul(c, b), minus_one)  # absorbs the -X term
+        coeffs[0] = spec.add(coeffs[0], spec.mul(scale, b))
+    return FieldPoly(spec, coeffs)
+
+
+def is_primitive_oracle(x: FieldElement) -> bool:
+    """True iff x generates the multiplicative group: x^((q-1)/l) != 1 for
+    every prime l dividing q - 1."""
+    if x.value == 0:
+        raise ValueError("0 is not in the multiplicative group")
+    spec = x.spec
+    q = spec.q
+    return all(
+        spec.pow(x.value, (q - 1) // ell) != 1 for ell in prime_factors(q - 1)
+    )
 
 
 def dft_oracle(spec: FieldSpec, a) -> list[int]:

@@ -292,6 +292,12 @@ def test_classify_budget_exceeded(capsys):
     assert main(["classify", "--q", "9"]) == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_classify_jobs_below_one_exits_2(capsys, jobs):
+    assert main(["classify", "--q", "3", "--jobs", jobs]) == 2
+    assert "jobs" in capsys.readouterr().err
+
+
 def test_classify_jobs_invariant_result(capsys):
     _, one = run_cli(capsys, "classify", "--q", "5", "--jobs", "1")
     _, two = run_cli(capsys, "classify", "--q", "5", "--jobs", "2")

@@ -16,7 +16,6 @@ from valuesets.conditions import (
     poly_version_bounds,
     profile_from_values,
     up_invariant,
-    values_to_index,
     verify_average_lemma,
     wsc_lower,
 )
@@ -213,7 +212,7 @@ def test_index_round_trip():
     for q in (3, 5):
         for idx in (0, 1, q, q**q - 1, 12345 % q**q):
             vals = index_to_values(idx, q)
-            assert values_to_index(vals, q) == idx
+            assert sum(v * q ** (q - 1 - i) for i, v in enumerate(vals)) == idx
     assert index_to_values(0, 3) == [0, 0, 0]
     assert index_to_values(5, 3) == [0, 1, 2]  # lexicographic order
 
@@ -279,6 +278,12 @@ def test_classify_shard_invariance():
         assert one.mask_counts == two.mask_counts
         assert one.witness_indices == two.witness_indices
         assert one.witness_polys == two.witness_polys
+
+
+def test_classify_refuses_jobs_below_one():
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            classify_all(3, jobs=jobs)
 
 
 def test_classify_witnesses_interpolate_back():

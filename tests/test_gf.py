@@ -23,6 +23,8 @@ from oracles import (
     char_count_vector_from_values,
     char_sum_abs_float,
     char_sum_sq_is_q,
+    interpolate_oracle,
+    is_primitive_oracle,
     reduce_mod_qx,
 )
 
@@ -123,6 +125,18 @@ def test_primitivity():
         is_primitive(F7.element(0))
 
 
+def test_primitivity_from_logs_matches_the_power_test():
+    for p, k in (
+        (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2),
+        (3, 3), (2, 7), (3, 5), (251, 1), (2, 11), (4099, 1),
+    ):
+        spec = field_build(p, k)
+        nonzero = [spec.element(x) for x in range(1, spec.q)]
+        flags = [is_primitive_oracle(e) for e in nonzero]
+        assert [is_primitive(e) for e in nonzero] == flags, (p, k)
+        assert primitive_elements(spec) == [e for e, f in zip(nonzero, flags) if f], (p, k)
+
+
 def test_poly_eval_and_table():
     x_sq = FieldPoly(F7, [0, 0, 1])
     assert poly_table(x_sq).values == (0, 1, 4, 2, 2, 4, 1)
@@ -162,6 +176,27 @@ def test_interpolate_round_trips():
         for _ in range(5):
             f = reduce_mod_qx(FieldPoly(spec, [rng.randrange(q) for _ in range(q + 3)]))
             assert interpolate(poly_table(f), spec) == f
+
+
+def test_interpolate_matches_synthetic_division_on_every_small_table():
+    for spec in (field_build(2), field_build(3), field_build(2, 2), field_build(5)):
+        q = spec.q
+        for values in itertools.product(range(q), repeat=q):
+            table = FunctionTable(q, values)
+            assert interpolate(table, spec) == interpolate_oracle(table, spec), (q, values)
+
+
+def test_interpolate_matches_synthetic_division_on_sampled_tables():
+    rng = random.Random(12)
+    for (p, k), samples in (
+        ((7, 1), 20), ((3, 2), 20), ((3, 3), 10), ((3, 4), 5), ((127, 1), 3),
+        ((2, 7), 3), ((3, 5), 2), ((251, 1), 2),
+    ):
+        spec = field_build(p, k)
+        q = spec.q
+        for _ in range(samples):
+            table = FunctionTable(q, tuple(rng.randrange(q) for _ in range(q)))
+            assert interpolate(table, spec) == interpolate_oracle(table, spec), (p, k)
 
 
 def test_interpolate_x_squared():
@@ -295,7 +330,7 @@ def test_large_extension_field_adds_digits_without_tables():
     for p, k in ((2, 11), (3, 7), (5, 5), (2053, 1)):
         spec = FieldSpec(p, k)  # not field_build's shared field, whose lists may exist
         q = spec.q
-        assert not {"spread", "nspread", "reduce"} & set(vars(spec))  # built on first use
+        assert not {"spread", "nspread", "reduce", "traces"} & set(vars(spec))  # built on first use
         pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
         _check_arithmetic(spec, pairs)
         add, neg = _digitwise(spec)
@@ -303,12 +338,13 @@ def test_large_extension_field_adds_digits_without_tables():
         for a in {a for a, _ in pairs[:5]}:
             assert rows[a] == [add(x, a) for x in range(q)]
             assert subs[a] == [add(a, neg(x)) for x in range(q)]
+        if q > 2048:  # trace rows are built when read, at any q
+            traced = spec.trace_mul_rows()
+            for h in [rng.randrange(q) for _ in range(3)]:
+                assert traced[h] == [spec.trace_int(spec.mul(h, c)) for c in range(q)]
         assert len(spec.reduce) == (2 * p - 1) ** k
         held = [v for v in vars(spec).values() if isinstance(v, list)]
         assert held and all(len(v) <= max(q, (2 * p - 1) ** k) for v in held), (p, k)
-        if q > 2048:
-            with pytest.raises(FieldConstructionError):
-                spec.trace_mul_rows()  # the one q x q table left, refused above 2048
 
 
 def test_pow_matches_repeated_multiplication():

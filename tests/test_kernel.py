@@ -202,7 +202,7 @@ def test_classify_caps_workers_at_cpu_count(monkeypatch):
     monkeypatch.setattr(conditions, "ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(conditions.os, "cpu_count", lambda: 2)
     summary = classify_all(3, jobs=64)
-    assert recorded == [2]  # 27 shards, 2 CPUs
+    assert recorded == [2]  # min(64 jobs, 2 CPUs) = 2 shards, one per worker
     assert summary.mask_counts == {"0000": 9, "1111": 18}
 
 
