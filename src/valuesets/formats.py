@@ -54,15 +54,16 @@ def load_function_table(source) -> FunctionTable:
 
 def _function_table_from_csv(text: str) -> FunctionTable:
     rows = [row for row in csv.reader(io.StringIO(text)) if row and any(c.strip() for c in row)]
-    if rows and not _is_int_row(rows[0]):
-        rows = rows[1:]  # tolerate a header line
+    cells = [_int_cells(row) for row in rows]
+    if cells and cells[0] is None:
+        rows, cells = rows[1:], cells[1:]  # tolerate a header line
     if not rows:
         raise InputFormatError("CSV table has no data rows")
     seen: dict[int, int] = {}
-    for row in rows:
-        if len(row) != 2 or not _is_int_row(row):
+    for row, ints in zip(rows, cells):
+        if ints is None or len(ints) != 2:
             raise InputFormatError(f"expected two integer columns, got {row!r}")
-        x, fx = int(row[0]), int(row[1])
+        x, fx = ints
         if x in seen:
             raise InputFormatError(f"domain point {x} appears twice")
         seen[x] = fx
@@ -72,13 +73,12 @@ def _function_table_from_csv(text: str) -> FunctionTable:
     return FunctionTable(n, tuple(seen[x] for x in range(n)))
 
 
-def _is_int_row(row) -> bool:
+def _int_cells(row) -> tuple[int, ...] | None:
+    """The row's cells as integers, or None if any cell is not one."""
     try:
-        for cell in row:
-            int(cell)
-        return True
+        return tuple(map(int, row))
     except ValueError:
-        return False
+        return None
 
 
 def save_function_table(table: FunctionTable, path) -> None:

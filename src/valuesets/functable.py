@@ -4,6 +4,10 @@ A function f: A -> B with |A| = n is stored as the sequence of its values.
 Codomain labels are arbitrary non-negative integers compared only for
 equality; gaps in the label range are allowed.  All counts are exact Python
 integers, so they never overflow regardless of magnitude.
+
+Every statistic of a table (V, N_s, M_r) is read from its multiplicity
+spectrum, which is tallied from the values once, on first use, and kept on
+the table.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,19 @@ class FunctionTable:
     def constant(cls, n: int, label: int = 0) -> "FunctionTable":
         return cls(n, (label,) * n)
 
+    @cached_property
+    def _spectrum(self) -> "MultiplicitySpectrum":
+        # Not a dataclass field, so equality, hashing, repr and replace()
+        # see only domain_size and values.  Always counted from the values,
+        # never filled in by a constructor, so statistics stay independent
+        # checks of the tables built to meet them.
+        by_multiplicity = Counter(Counter(self.values).values())
+        m = max(by_multiplicity)
+        counts = [0] * (m + 1)
+        for r, labels in by_multiplicity.items():
+            counts[r] = labels
+        return MultiplicitySpectrum(self.domain_size, m, tuple(counts))
+
 
 @dataclass(frozen=True)
 class MultiplicitySpectrum:
@@ -79,18 +97,13 @@ class MultiplicitySpectrum:
 
 
 def spectrum(f: FunctionTable) -> MultiplicitySpectrum:
-    """Tally how many labels are hit exactly r times, for each r."""
-    tally = Counter(f.values)
-    m = max(tally.values())
-    counts = [0] * (m + 1)
-    for hits in tally.values():
-        counts[hits] += 1
-    return MultiplicitySpectrum(f.domain_size, m, tuple(counts))
+    """How many labels are hit exactly r times, for each r (shared, immutable)."""
+    return f._spectrum
 
 
 def image_count(f: FunctionTable) -> int:
-    """Number of distinct values taken by f."""
-    return len(set(f.values))
+    """Number of distinct values taken by f: the sum of M_r."""
+    return f._spectrum.image_count
 
 
 def falling_factorial(r: int, s: int) -> int:
@@ -104,9 +117,9 @@ def collision_count(f: FunctionTable, s: int) -> int:
     """Number of ordered s-tuples of pairwise-distinct points with equal images.
 
     Computed from the multiplicity spectrum: each label of multiplicity r
-    contributes P(r, s) tuples.
+    contributes P(r, s) tuples.  s must be an int >= 2.
     """
-    if s < 2:
-        raise ValueError("collision order s must be >= 2")
-    spec = spectrum(f)
-    return sum(math.perm(r, s) * spec.counts[r] for r in range(s, spec.m + 1))
+    if type(s) is not int or s < 2:  # bool is an int subclass
+        raise ValueError(f"collision order s must be an integer >= 2, got {s!r}")
+    counts = f._spectrum.counts
+    return sum(math.perm(r, s) * counts[r] for r in range(s, len(counts)))

@@ -3,6 +3,8 @@
 Each function here computes, by brute force or through character sums, a
 quantity the library decides with an exact integer kernel:
 
+- ``spectrum_oracle`` tallies multiplicities one label at a time, where
+  ``spectrum`` counts the counts of one ``Counter``;
 - ``collision_count_oracle`` walks the s-tuples that ``collision_count``
   counts from the multiplicity spectrum;
 - ``energy_oracle`` visits the quadruples that ``energy`` counts from the
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 from valuesets.bounds import triangular_number
 from valuesets.energy import SubsetPair
-from valuesets.functable import FunctionTable
+from valuesets.functable import FunctionTable, MultiplicitySpectrum
 from valuesets.gf import FieldElement, FieldPoly, FieldSpec, poly_values, prime_factors
 
 ORACLE_BUDGET = 10**8  # max n**s a brute-force oracle will accept
@@ -46,6 +48,16 @@ class EnumerationBudgetError(RuntimeError):
 
 
 # -- collision counts and energy ---------------------------------------------
+
+def spectrum_oracle(f: FunctionTable) -> MultiplicitySpectrum:
+    """M_r by a loop over the labels: one increment per distinct value."""
+    tally = Counter(f.values)
+    m = max(tally.values())
+    counts = [0] * (m + 1)
+    for hits in tally.values():
+        counts[hits] += 1
+    return MultiplicitySpectrum(f.domain_size, m, tuple(counts))
+
 
 def collision_count_oracle(f: FunctionTable, s: int, budget: int = ORACLE_BUDGET) -> int:
     """Count the same tuples by direct enumeration, for cross-checking.

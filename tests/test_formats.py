@@ -71,6 +71,24 @@ def test_csv_gap_in_domain(tmp_path):
         load_function_table(path)
 
 
+def test_csv_rows_must_be_two_integers(tmp_path):
+    path = tmp_path / "bad.csv"
+    for text, message in (
+        ("x,fx\n", "CSV table has no data rows"),
+        ("\n , \n", "CSV table has no data rows"),
+        ("0,5,1\n1,2\n", "expected two integer columns, got ['0', '5', '1']"),
+        ("x,fx\n0,5\n1,y\n", "expected two integer columns, got ['1', 'y']"),
+        ("0,5\nx,fx\n", "expected two integer columns, got ['x', 'fx']"),
+        ("0\n", "expected two integer columns, got ['0']"),
+    ):
+        path.write_text(text)
+        with pytest.raises(InputFormatError) as exc:
+            load_function_table(path)
+        assert str(exc.value) == message
+    path.write_text(" 1 , 7\n\n0,2\n")
+    assert load_function_table(path).values == (2, 7)
+
+
 def test_poly_inline_and_file(tmp_path):
     inline = '{"p": 7, "coeffs": [0, 0, 1]}'
     f = load_poly(inline)

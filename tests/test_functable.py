@@ -1,9 +1,16 @@
+import dataclasses
+import io
 import itertools
+import pickle
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valuesets import functable
+from valuesets.bounds import construct_lower_tight, construct_upper_tight
+from valuesets.formats import load_code_assignment, load_function_table
 from valuesets.functable import (
     FunctionTable,
     collision_count,
@@ -11,7 +18,7 @@ from valuesets.functable import (
     image_count,
     spectrum,
 )
-from oracles import EnumerationBudgetError, collision_count_oracle
+from oracles import EnumerationBudgetError, collision_count_oracle, spectrum_oracle
 
 tables = st.lists(st.integers(0, 8), min_size=1, max_size=12).map(
     FunctionTable.from_values
@@ -67,6 +74,13 @@ def test_collision_count_rejects_small_s():
         collision_count(FunctionTable.identity(3), 1)
 
 
+def test_collision_count_accepts_only_int_orders():
+    f = FunctionTable.constant(4)
+    for bad in (2.0, 2.5, "2", True, None, 0, -3):  # bool is an int subclass
+        with pytest.raises(ValueError, match="integer >= 2"):
+            collision_count(f, bad)
+
+
 def test_oracle_examples():
     assert collision_count_oracle(FunctionTable.from_values([0, 0, 1, 1, 2]), 2) == 4
     assert collision_count_oracle(FunctionTable.constant(4), 3) == 24
@@ -106,6 +120,63 @@ def test_exhaustive_small_oracle_agreement():
             f = FunctionTable.from_values(values)
             for s in (2, 3, 4):
                 assert collision_count(f, s) == collision_count_oracle(f, s)
+            assert spectrum(f) == spectrum_oracle(f)
+            assert image_count(f) == len(set(values))
+
+
+@given(tables)
+@settings(max_examples=200)
+def test_spectrum_matches_oracle(f):
+    assert spectrum(f) == spectrum_oracle(f)
+    assert image_count(f) == len(set(f.values))
+
+
+def test_one_tally_per_table(monkeypatch):
+    tallied = []
+
+    def counting_counter(*args):
+        tallied.extend(args)
+        return Counter(*args)
+
+    monkeypatch.setattr(functable, "Counter", counting_counter)
+    f = FunctionTable.from_values([4, 4, 4, 1, 1, 7, 0, 0, 0, 0])
+    assert tallied == []
+    assert image_count(f) == 4
+    assert [collision_count(f, s) for s in (2, 3, 4)] == [20, 30, 24]
+    assert spectrum(f).counts == (0, 1, 1, 1, 1)
+    assert image_count(f) == 4
+    assert sum(arg is f.values for arg in tallied) == 1
+
+
+def test_cached_spectrum_is_invisible():
+    values = (3, 3, 0, 5, 3, 0)
+    f = FunctionTable.from_values(values)
+    stats = (image_count(f), collision_count(f, 2), spectrum(f))
+    fresh = FunctionTable.from_values(values)
+    assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
+    assert [fld.name for fld in dataclasses.fields(f)] == ["domain_size", "values"]
+    for twin in (pickle.loads(pickle.dumps(f)), dataclasses.replace(f)):
+        assert twin == f and hash(twin) == hash(f) and twin.values == values
+        assert (image_count(twin), collision_count(twin, 2), spectrum(twin)) == stats
+    # a replaced table is tallied from its own values, not from f's spectrum
+    other = dataclasses.replace(f, values=(1,) * 6)
+    assert (image_count(other), collision_count(other, 2)) == (1, 30)
+    assert spectrum(other) == spectrum_oracle(other)
+
+
+def test_built_and_loaded_tables_carry_no_spectrum():
+    code = "c0,yes\nc1,no\nc2,yes\n"
+    tables = [
+        construct_lower_tight(9, 4),
+        construct_upper_tight(12, 4),
+        load_function_table(io.StringIO('{"domain_size": 3, "values": [2, 2, 0]}')),
+        load_function_table(io.StringIO("x,fx\n0,2\n1,2\n2,0\n")),
+        load_code_assignment(io.StringIO(code))[0],
+    ]
+    for f in tables:
+        assert "_spectrum" not in vars(f)
+        assert spectrum(f) == spectrum_oracle(f)
+        assert "_spectrum" in vars(f)
 
 
 @given(tables)
