@@ -6,8 +6,8 @@ is seeded, so re-running an identical manifest reproduces the report
 byte-for-byte.  Exit codes: 0 all asserted properties hold, 1 a property was
 violated, 2 malformed input or refused budget.  The subcommands that build a
 field (field, test-conditions, verify-lemma) refuse q above
-formats.FIELD_LIMIT, and verify-lemma --random N refuses q^2 * N above
-LEMMA_BUDGET.
+formats.FIELD_LIMIT, verify-lemma --random N refuses q^2 * N above
+LEMMA_BUDGET, and bounds refuses --n or --t above BOUNDS_LIMIT.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .bounds import (
     triangular_number,
 )
 from .conditions import (
-    ClassificationBudgetError,
     CLASSIFY_BUDGET,
     classify_all,
     condition_profile,
@@ -62,6 +61,10 @@ from .gf import FieldPoly, field_build, poly_table, primitive_elements, prime_po
 # steps, about 16 s at q^2 = 10^8 on a shared 2-vCPU host.  A single
 # polynomial over any field below formats.FIELD_LIMIT fits.
 LEMMA_BUDGET = 10**8
+
+# Largest --n and --t of bounds: the report carries its real bounds as
+# floats, and n or 4t + 1 beyond the float range (about 1.8e308) overflows.
+BOUNDS_LIMIT = 10**300
 
 
 def _digest_file(args, path) -> None:
@@ -99,6 +102,8 @@ def _cmd_bounds(args):
     n, s, t = args.n, args.s, args.t
     if n < 1:
         raise InputFormatError(f"--n must be at least 1, got {n}")
+    if max(n, t) > BOUNDS_LIMIT:
+        raise InputFormatError("--n and --t must be at most BOUNDS_LIMIT = 10^300 (the report's floats)")
     if s >= 2 and not 0 <= t <= math.perm(n, s):
         raise InputFormatError(f"--t must lie in [0, P(n, s)] = [0, {math.perm(n, s)}], got {t}")
     report = bound_report(n, s, t)
@@ -395,7 +400,7 @@ def main(argv=None) -> int:
     args._digests = {}
     try:
         result, code = args.handler(args)
-    except (ValueError, OSError, ClassificationBudgetError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {"manifest": _build_manifest(args), "result": result}

@@ -47,7 +47,7 @@ import operator
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .bounds import BoundReport, s2_report
 from .functable import FunctionTable
@@ -56,7 +56,7 @@ from .gf import FieldPoly, FieldSpec, field_build, interpolate, poly_values, pri
 CLASSIFY_BUDGET = 1_000_000  # default cap on q**q table enumerations
 
 
-class ClassificationBudgetError(RuntimeError):
+class ClassificationBudgetError(ValueError):
     """classify_all refused to enumerate; raise the budget to override."""
 
 
@@ -88,18 +88,7 @@ class ConditionProfile:
         return mask_lattice_ok(self.mask)
 
     def to_dict(self) -> dict:
-        return {
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "c4": self.c4,
-            "n2": self.n2,
-            "mask": self.mask,
-            "c1_witness": self.c1_witness,
-            "c2_witness": self.c2_witness,
-            "c3_witness": self.c3_witness,
-            "note": self.note,
-        }
+        return {**asdict(self), "mask": self.mask}
 
 
 @dataclass(frozen=True)
@@ -136,11 +125,6 @@ class ClassificationSummary:
 
 
 # -- value-table level tests ------------------------------------------------
-
-def n2_of_values(values) -> int:
-    """N_2 from the value distribution: sum of m(m-1) over label counts."""
-    return _n2(Counter(values).values())
-
 
 def difference_values(spec: FieldSpec, values, a: int) -> list[int]:
     """Table of x -> f(x+a) - f(x) from f's value table."""
@@ -352,7 +336,7 @@ def test_c3(f: FieldPoly) -> tuple[bool, int | None]:
 
 
 def n2_poly(f: FieldPoly) -> int:
-    return n2_of_values(poly_values(f))
+    return _n2(_value_counts(poly_values(f), f.spec.q))
 
 
 def test_c4(f: FieldPoly) -> bool:
@@ -378,7 +362,7 @@ def _average_lemma_terms(f: FieldPoly) -> list[int]:
     f0 = values[0]
     base = [spread[values[x]] for x in exp]  # spread f(g^l)
     rotations = [spread[x] for x in exp] * 2  # spread g^m, m < 2(q - 1)
-    terms = [n2_of_values(values)] * q
+    terms = [_n2(_value_counts(values, q))] * q
     for r, a in enumerate(exp):
         m = Counter(map(red.__getitem__, map(operator.add, base, rotations[r : r + n])))
         m[f0] += 1

@@ -30,6 +30,26 @@ def _read_text(source) -> str:
     return Path(source).read_text()
 
 
+def _csv_rows(text: str) -> list[list[str]]:
+    """The CSV rows of text that hold a non-blank cell.  A CSV syntax error,
+    such as a cell over the csv module's field size limit, is an
+    InputFormatError."""
+    try:
+        return [row for row in csv.reader(io.StringIO(text)) if any(c.strip() for c in row)]
+    except csv.Error as exc:
+        raise InputFormatError(f"invalid CSV: {exc}") from exc
+
+
+def _inline_or_file(source: str, opener: str, what: str):
+    """The JSON value of source: source itself when it starts with opener,
+    else the file at that path."""
+    text = source if source.lstrip().startswith(opener) else Path(source).read_text()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"invalid {what} JSON: {exc}") from exc
+
+
 def load_function_table(source) -> FunctionTable:
     """Load a FunctionTable from JSON ({"domain_size": n, "values": [...]})
     or two-column CSV rows x,f(x) with x = 0..n-1 each appearing once.  The
@@ -53,7 +73,7 @@ def load_function_table(source) -> FunctionTable:
 
 
 def _function_table_from_csv(text: str) -> FunctionTable:
-    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(c.strip() for c in row)]
+    rows = _csv_rows(text)
     cells = [_int_cells(row) for row in rows]
     if cells and cells[0] is None:
         rows, cells = rows[1:], cells[1:]  # tolerate a header line
@@ -134,18 +154,12 @@ def parse_poly_spec(obj: dict) -> FieldPoly:
 
 def load_poly(source: str) -> FieldPoly:
     """Polynomial spec from a file path or an inline JSON object string."""
-    text = source if source.lstrip().startswith("{") else Path(source).read_text()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid polynomial spec JSON: {exc}") from exc
-    return parse_poly_spec(obj)
+    return parse_poly_spec(_inline_or_file(source, "{", "polynomial spec"))
 
 
 def load_cayley_csv(source) -> GroupSpec:
     """Group from an n x n CSV of element indices (row i, column j holds i*j)."""
-    text = _read_text(source)
-    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(c.strip() for c in row)]
+    rows = _csv_rows(_read_text(source))
     try:
         table = [[int(c) for c in row] for row in rows]
     except ValueError as exc:
@@ -155,12 +169,7 @@ def load_cayley_csv(source) -> GroupSpec:
 
 def load_subset(source: str) -> list[int]:
     """Subset as a JSON index array, from a file path or inline string."""
-    text = source if source.lstrip().startswith("[") else Path(source).read_text()
-    try:
-        arr = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid subset JSON: {exc}") from exc
-    return _json_ints(arr, "subset")
+    return _json_ints(_inline_or_file(source, "[", "subset"), "subset")
 
 
 def load_code_assignment(source) -> tuple[FunctionTable, list[str], list[str]]:
@@ -169,8 +178,7 @@ def load_code_assignment(source) -> tuple[FunctionTable, list[str], list[str]]:
     Returns the assignment as a FunctionTable (messages relabelled to dense
     integers in first-seen order) plus the codeword and message label lists.
     """
-    text = _read_text(source)
-    rows = [row for row in csv.reader(io.StringIO(text)) if row and any(c.strip() for c in row)]
+    rows = _csv_rows(_read_text(source))
     if not rows:
         raise InputFormatError("code assignment has no rows")
     codewords: list[str] = []

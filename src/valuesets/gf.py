@@ -192,8 +192,8 @@ class FieldSpec:
     """Immutable description of GF(p^k) with table-backed arithmetic on
     integer encodings.  Use :func:`field_build` to construct one.
 
-    Multiplication in extension fields goes through the discrete-log lists
-    ``exp``/``log``, built on first use.  Addition is
+    Multiplication goes through the discrete-log lists ``exp``/``log`` in
+    every field, built on first use by ``_raw_mul``.  Addition is
     carry-free for every p and k: ``spread[x]`` re-reads the base-p digits
     of x in base 2p - 1 and ``nspread[x] = spread[-x]``, so the digits of
     ``spread[a] + spread[b]`` and ``spread[a] + nspread[b]`` stay below
@@ -317,8 +317,6 @@ class FieldSpec:
         return self.reduce[self.spread[a] + self.nspread[b]]
 
     def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
         return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
@@ -326,8 +324,6 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.k == 1:
-            return pow(a, -1, self.p)
         return self.exp[(-self.log[a]) % (self.q - 1)]
 
     def pow(self, x: int, e: int) -> int:
@@ -336,8 +332,6 @@ class FieldSpec:
             return self.pow(self.inv(x), -e)
         if x == 0:
             return 1 if e == 0 else 0
-        if self.k == 1:
-            return pow(x, e, self.p)
         return self.exp[self.log[x] * e % (self.q - 1)]
 
     @cached_property
@@ -575,7 +569,6 @@ class FieldPoly:
         while vals and vals[-1] == 0:
             vals.pop()
         self.coeffs = tuple(vals)
-        self._values = None  # value table, filled in by poly_values
 
     @property
     def degree(self) -> int:
@@ -594,6 +587,26 @@ class FieldPoly:
     def __repr__(self):
         return f"FieldPoly({self.spec!r}, {list(self.coeffs)})"
 
+    @cached_property
+    def _values(self) -> tuple[int, ...]:
+        """The value table, computed on first use (poly_values).
+
+        For x = g^j, x^e = g^(j (e mod (q - 1))) when e >= 1, so folding c_e
+        into slot e mod (q - 1) (and c_0 into slot 0) makes f(g^j) the
+        transform's X_j; f(0) = c_0."""
+        spec = self.spec
+        n = spec.q - 1
+        coeffs = self.coeffs or (0,)
+        slots = [0] * n
+        slots[0] = coeffs[0]
+        for e, c in enumerate(coeffs[1:], 1):
+            if c:
+                slots[e % n] = spec.add(slots[e % n], c)
+        out = [coeffs[0]] * spec.q
+        for x, v in zip(spec.exp, spec.transform(slots)):
+            out[x] = v
+        return tuple(out)
+
 
 def poly_eval(f: FieldPoly, x) -> FieldElement:
     """Horner evaluation."""
@@ -607,24 +620,8 @@ def poly_eval(f: FieldPoly, x) -> FieldElement:
 
 def poly_values(f: FieldPoly) -> list[int]:
     """Value encodings of f at all q points, in encoding order.  The table is
-    computed once per polynomial and copied out on each call.
-
-    For x = g^j, x^e = g^(j (e mod (q - 1))) when e >= 1, so folding c_e into
-    slot e mod (q - 1) (and c_0 into slot 0) makes f(g^j) the transform's
-    X_j; f(0) = c_0."""
-    if f._values is None:
-        spec = f.spec
-        n = spec.q - 1
-        coeffs = f.coeffs or (0,)
-        slots = [0] * n
-        slots[0] = coeffs[0]
-        for e, c in enumerate(coeffs[1:], 1):
-            if c:
-                slots[e % n] = spec.add(slots[e % n], c)
-        out = [coeffs[0]] * spec.q
-        for x, v in zip(spec.exp, spec.transform(slots)):
-            out[x] = v
-        f._values = tuple(out)
+    computed once per polynomial (FieldPoly._values) and copied out on each
+    call."""
     return list(f._values)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -71,6 +72,9 @@ def test_bounds_parity_error(capsys):
         ["--n", "0", "--t", "0"],
         ["--n", "10", "--s", "3", "--t", "100000"],  # t > P(10, 3) = 720
         ["--n", "10", "--t", "-2"],
+        ["--n", str(10**320), "--t", "4"],  # float(n - ...) overflows
+        ["--n", str(10**320), "--s", "3", "--t", "6"],  # float(upper) overflows
+        ["--n", str(10**200), "--t", str(2 * 10**398 + 2)],  # sqrt(4t + 1) overflows
     ],
 )
 def test_bounds_outside_domain_exits_2(capsys, argv):
@@ -83,6 +87,13 @@ def test_bounds_domain_boundary(capsys):
     code, report = run_cli(capsys, "bounds", "--n", "10", "--t", "90")  # a constant map
     assert code == 0
     assert report["result"]["lower_int"] <= 1 <= report["result"]["upper_int"]
+
+
+def test_bounds_limit_is_inclusive(capsys):
+    n = cli.BOUNDS_LIMIT
+    code, report = run_cli(capsys, "bounds", "--n", str(n), "--t", "4")
+    assert code == 0
+    assert report["result"]["lower_int"] == report["result"]["upper_int"] == n - 2
 
 
 @pytest.mark.parametrize(
@@ -167,6 +178,20 @@ def test_construct_upper(capsys):
 
 def test_construct_infeasible(capsys):
     assert main(["construct", "--n", "3", "--t", "8"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "--kind", "upper", "--n", "10", "--t", "5"], "even collision count"),
+        (["field", "--p", "3", "--k", "2", "--modulus", "1,x,1"], "comma-separated integers"),
+        (["verify-lemma"], "needs --poly or --q"),
+    ],
+)
+def test_malformed_arguments_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_field(capsys):
@@ -399,6 +424,20 @@ def test_energy_cayley(tmp_path, capsys):
     assert report["result"]["sandwich_ok"]
 
 
+def test_energy_product(capsys):
+    # Z4 x Z6 x Z5 in mixed radix, the Z4 digit least: 7 = (3, 1, 0), and
+    # 1 + 2 = 0 + 3 = 3 is the only collision among the six products
+    code, report = run_cli(
+        capsys, "energy", "--product", "4,6,5", "--a", "[0, 1, 7]", "--b", "[2, 3]"
+    )
+    assert code == 0
+    r = report["result"]
+    assert r["group"] == {"kind": "product", "order": 120}
+    assert r["product_set"] == [0, 2, 3, 5, 6]
+    assert (r["collision_count"], r["energy"]) == (2, 8)
+    assert r["sandwich_ok"]
+
+
 def test_energy_group_flags_exclusive(capsys):
     assert main(["energy", "--cyclic", "5", "--product", "2,3", "--a", "[0]", "--b", "[0]"]) == 2
 
@@ -407,6 +446,41 @@ def test_energy_bad_cayley_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("0,1\n1,1\n")
     assert main(["energy", "--cayley", str(path), "--a", "[0]", "--b", "[0]"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "{csv}"],
+        ["code-bounds", "{csv}"],
+        ["energy", "--cayley", "{csv}", "--a", "[0]", "--b", "[0]"],
+    ],
+    ids=["stats", "code-bounds", "energy"],
+)
+def test_csv_cell_over_the_field_size_limit_exits_2(tmp_path, capsys, argv):
+    # the csv module refuses a cell over 131072 characters with csv.Error,
+    # which is not a ValueError
+    path = tmp_path / "big.csv"
+    path.write_text("0," + "1" * 200_000 + "\n")
+    assert main([a.replace("{csv}", str(path)) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid CSV" in captured.err
+
+
+def test_inputs_given_as_paths_are_digested(tmp_path, capsys):
+    poly, a, b = tmp_path / "poly.json", tmp_path / "a.json", tmp_path / "b.json"
+    poly.write_text('{"p": 5, "coeffs": [0, 0, 1]}')
+    a.write_text("[0, 1]")
+    b.write_text("[0, 3]")
+    for argv, paths in (
+        (["test-conditions", "--poly", str(poly)], [poly]),
+        (["verify-lemma", "--poly", str(poly)], [poly]),
+        (["energy", "--cyclic", "10", "--a", str(a), "--b", str(b)], [a, b]),
+        (["energy", "--cyclic", "10", "--a", "[0, 1]", "--b", "[0, 3]"], []),
+    ):
+        _, report = run_cli(capsys, *argv)
+        expected = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+        assert report["manifest"]["input_digests"] == expected
 
 
 def test_code_bounds(tmp_path, capsys):

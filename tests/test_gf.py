@@ -348,14 +348,16 @@ def test_large_extension_field_adds_digits_without_tables():
 
 
 def test_pow_matches_repeated_multiplication():
-    # the digit-convolution product, which does not read the log tables
-    for p, k in ((2, 2), (2, 3), (3, 2), (5, 2)):
+    # the digit-convolution product (a * b mod p in a prime field), which
+    # does not read the log tables
+    for p, k in ((2, 2), (2, 3), (3, 2), (5, 2), (2, 1), (7, 1), (13, 1)):
         spec = field_build(p, k)
         for x in range(1, spec.q):
             acc = 1
             for e in range(2 * spec.q + 1):
                 assert spec.pow(x, e) == acc, (p, k, x, e)
                 assert spec._raw_mul(spec.pow(x, -e), acc) == 1, (p, k, x, -e)
+                assert spec.mul(acc, x) == spec._raw_mul(acc, x), (p, k, x, e)
                 acc = spec._raw_mul(acc, x)
         assert spec.pow(0, 0) == 1 and spec.pow(0, 3) == 0
         with pytest.raises(ZeroDivisionError):
