@@ -7,7 +7,8 @@ byte-for-byte.  Exit codes: 0 all asserted properties hold, 1 a property was
 violated, 2 malformed input or refused budget.  The subcommands that build a
 field (field, test-conditions, verify-lemma) refuse q above
 formats.FIELD_LIMIT, verify-lemma --random N refuses q^2 * N above
-LEMMA_BUDGET, and bounds refuses --n or --t above BOUNDS_LIMIT.
+LEMMA_BUDGET, bounds refuses --n or --t above BOUNDS_LIMIT and --s above
+BOUNDS_S_LIMIT, and construct refuses --n above CONSTRUCT_LIMIT.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .formats import (
     InputFormatError,
     check_field_size,
     function_table_to_dict,
+    is_inline,
     load_cayley_csv,
     load_code_assignment,
     load_function_table,
@@ -66,6 +68,15 @@ LEMMA_BUDGET = 10**8
 # floats, and n or 4t + 1 beyond the float range (about 1.8e308) overflows.
 BOUNDS_LIMIT = 10**300
 
+# Largest --s of bounds, checked before P(n, s) is computed: P(10^300, s)
+# costs about 0.1 s at s = 1000 and grows superlinearly in s.  Any s >= 171
+# admits only t = 0 under BOUNDS_LIMIT, since 171! > 10^300.
+BOUNDS_S_LIMIT = 1000
+
+# Largest --n of construct: the report lists all n values, and n = 10^6
+# took about 1 s and 160 MB.
+CONSTRUCT_LIMIT = 10**5
+
 
 def _digest_file(args, path) -> None:
     p = Path(path)
@@ -73,8 +84,8 @@ def _digest_file(args, path) -> None:
         args._digests[str(path)] = hashlib.sha256(p.read_bytes()).hexdigest()
 
 
-def _maybe_digest(args, source: str) -> None:
-    if not source.lstrip().startswith(("{", "[")):
+def _maybe_digest(args, source: str, what: str) -> None:
+    if not is_inline(source, what):
         _digest_file(args, source)
 
 
@@ -104,6 +115,8 @@ def _cmd_bounds(args):
         raise InputFormatError(f"--n must be at least 1, got {n}")
     if max(n, t) > BOUNDS_LIMIT:
         raise InputFormatError("--n and --t must be at most BOUNDS_LIMIT = 10^300 (the report's floats)")
+    if s > BOUNDS_S_LIMIT:
+        raise InputFormatError(f"--s must be at most BOUNDS_S_LIMIT = {BOUNDS_S_LIMIT}, got {s}")
     if s >= 2 and not 0 <= t <= math.perm(n, s):
         raise InputFormatError(f"--t must lie in [0, P(n, s)] = [0, {math.perm(n, s)}], got {t}")
     report = bound_report(n, s, t)
@@ -122,6 +135,11 @@ def _cmd_bk(args):
 
 
 def _cmd_construct(args):
+    if args.n > CONSTRUCT_LIMIT:
+        raise InputFormatError(
+            f"--n must be at most CONSTRUCT_LIMIT = {CONSTRUCT_LIMIT} "
+            f"(the report lists every value), got {args.n}"
+        )
     if args.kind == "lower":
         table = construct_lower_tight(args.n, args.t)
         target_v = args.n - args.t // 2
@@ -165,7 +183,7 @@ def _cmd_field(args):
 
 
 def _cmd_test_conditions(args):
-    _maybe_digest(args, args.poly)
+    _maybe_digest(args, args.poly, "polynomial spec")
     poly = load_poly(args.poly)
     profile = condition_profile(poly)
     table = poly_table(poly)
@@ -203,7 +221,7 @@ def _cmd_classify(args):
 def _cmd_verify_lemma(args):
     polys = []
     if args.poly:
-        _maybe_digest(args, args.poly)
+        _maybe_digest(args, args.poly, "polynomial spec")
         polys.append(load_poly(args.poly))
         q = polys[0].spec.q
     else:
@@ -252,7 +270,7 @@ def _build_group(args) -> GroupSpec:
 def _cmd_energy(args):
     group = _build_group(args)
     for source in (args.a, args.b):
-        _maybe_digest(args, source)
+        _maybe_digest(args, source, "subset")
     pair = SubsetPair(group, tuple(load_subset(args.a)), tuple(load_subset(args.b)))
     report = energy_bounds(pair)
     prod = product_set(pair)

@@ -46,7 +46,6 @@ import math
 import operator
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 from .bounds import BoundReport, s2_report
@@ -518,6 +517,10 @@ def classify_all(
     if len(shards) == 1:
         results = [_classify_shard(shards[0])]
     else:
+        # Imported here: the pool's multiprocessing stack would otherwise
+        # load with every CLI subcommand, and only this branch uses it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(shards)) as pool:
             results = list(pool.map(_classify_shard, shards))
 

@@ -40,10 +40,21 @@ def _csv_rows(text: str) -> list[list[str]]:
         raise InputFormatError(f"invalid CSV: {exc}") from exc
 
 
-def _inline_or_file(source: str, opener: str, what: str):
-    """The JSON value of source: source itself when it starts with opener,
-    else the file at that path."""
-    text = source if source.lstrip().startswith(opener) else Path(source).read_text()
+# The first character of an inline JSON argument, per kind of input.
+_JSON_OPENERS = {"polynomial spec": "{", "subset": "["}
+
+
+def is_inline(source: str, what: str) -> bool:
+    """Whether a JSON argument of kind what (a key of _JSON_OPENERS) is the
+    JSON itself: it starts, after blanks, with that kind's opener.  Any
+    other argument is a file path."""
+    return source.lstrip().startswith(_JSON_OPENERS[what])
+
+
+def _inline_or_file(source: str, what: str):
+    """The JSON value of source: source itself when it is inline, else the
+    file at that path."""
+    text = source if is_inline(source, what) else Path(source).read_text()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -154,7 +165,7 @@ def parse_poly_spec(obj: dict) -> FieldPoly:
 
 def load_poly(source: str) -> FieldPoly:
     """Polynomial spec from a file path or an inline JSON object string."""
-    return parse_poly_spec(_inline_or_file(source, "{", "polynomial spec"))
+    return parse_poly_spec(_inline_or_file(source, "polynomial spec"))
 
 
 def load_cayley_csv(source) -> GroupSpec:
@@ -169,7 +180,7 @@ def load_cayley_csv(source) -> GroupSpec:
 
 def load_subset(source: str) -> list[int]:
     """Subset as a JSON index array, from a file path or inline string."""
-    return _json_ints(_inline_or_file(source, "[", "subset"), "subset")
+    return _json_ints(_inline_or_file(source, "subset"), "subset")
 
 
 def load_code_assignment(source) -> tuple[FunctionTable, list[str], list[str]]:

@@ -96,6 +96,22 @@ def test_bounds_limit_is_inclusive(capsys):
     assert report["result"]["lower_int"] == report["result"]["upper_int"] == n - 2
 
 
+def test_bounds_s_limit(capsys, monkeypatch):
+    s = cli.BOUNDS_S_LIMIT
+    code, report = run_cli(capsys, "bounds", "--n", "5", "--s", str(s), "--t", "0")
+    assert code == 0
+    assert (report["result"]["lower_int"], report["result"]["upper_int"]) == (1, 5)  # ceil(5/999), n
+
+    def refuse(*args):
+        raise AssertionError("P(n, s) computed above the limit")
+
+    monkeypatch.setattr(cli.math, "perm", refuse)
+    for n, t in ((str(10**300), "5"), ("5", "0")):
+        assert main(["bounds", "--n", n, "--s", str(s + 1), "--t", t]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"BOUNDS_S_LIMIT = {s}" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -178,6 +194,22 @@ def test_construct_upper(capsys):
 
 def test_construct_infeasible(capsys):
     assert main(["construct", "--n", "3", "--t", "8"]) == 2
+
+
+def test_construct_limit(capsys, monkeypatch):
+    n = cli.CONSTRUCT_LIMIT
+    code, report = run_cli(capsys, "construct", "--n", str(n), "--t", "2")
+    assert code == 0 and report["result"]["achieved_image_count"] == n - 1
+
+    def refuse(*args):
+        raise AssertionError("a table was built above the limit")
+
+    monkeypatch.setattr(cli, "construct_lower_tight", refuse)
+    monkeypatch.setattr(cli, "construct_upper_tight", refuse)
+    for kind in ("lower", "upper"):
+        assert main(["construct", "--kind", kind, "--n", str(n + 1), "--t", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"CONSTRUCT_LIMIT = {n}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -467,16 +499,22 @@ def test_csv_cell_over_the_field_size_limit_exits_2(tmp_path, capsys, argv):
     assert captured.out == "" and "invalid CSV" in captured.err
 
 
-def test_inputs_given_as_paths_are_digested(tmp_path, capsys):
+def test_inputs_given_as_paths_are_digested(tmp_path, monkeypatch, capsys):
     poly, a, b = tmp_path / "poly.json", tmp_path / "a.json", tmp_path / "b.json"
     poly.write_text('{"p": 5, "coeffs": [0, 0, 1]}')
     a.write_text("[0, 1]")
     b.write_text("[0, 3]")
+    # relative names that open with the other kind's inline opener
+    monkeypatch.chdir(tmp_path)
+    Path("[p].json").write_text(poly.read_text())
+    Path("{a}.json").write_text(a.read_text())
     for argv, paths in (
         (["test-conditions", "--poly", str(poly)], [poly]),
         (["verify-lemma", "--poly", str(poly)], [poly]),
         (["energy", "--cyclic", "10", "--a", str(a), "--b", str(b)], [a, b]),
         (["energy", "--cyclic", "10", "--a", "[0, 1]", "--b", "[0, 3]"], []),
+        (["test-conditions", "--poly", "[p].json"], [Path("[p].json")]),
+        (["energy", "--cyclic", "10", "--a", "{a}.json", "--b", "[0, 3]"], [Path("{a}.json")]),
     ):
         _, report = run_cli(capsys, *argv)
         expected = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
@@ -541,6 +579,26 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["result"]["lower_int"] == 8
+
+
+def test_cli_import_loads_no_worker_pool():
+    # only classify with more than one shard starts workers, so a fresh CLI
+    # process must not pay for the multiprocessing stack
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "sys.path[:0] = sys.argv[1:]\n"
+        "import valuesets.cli\n"
+        "loaded = {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "src")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_bench_tracer_finds_every_span_name():

@@ -15,6 +15,7 @@ open (conditions._scan_shifts); each reduced scan is compared here with the
 full scan of the same kernel.
 """
 
+import concurrent.futures
 import itertools
 import random
 import time
@@ -199,7 +200,8 @@ def test_classify_caps_workers_at_cpu_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(conditions, "ProcessPoolExecutor", FakeExecutor)
+    # classify_all imports the pool when it starts workers, so patch its home.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(conditions.os, "cpu_count", lambda: 2)
     summary = classify_all(3, jobs=64)
     assert recorded == [2]  # min(64 jobs, 2 CPUs) = 2 shards, one per worker
