@@ -8,13 +8,18 @@ refinement is available through the minimal-weight triangular decomposition
 B_k.  B_k is computed exactly by a memoized branch and bound over the largest
 part, pruned with the lower bound ceil((sqrt(8k+1) - 1)/2), for k up to
 BK_LIMIT.
+
+Every s = 2 report is assembled in one pass by s2_report: one root
+isqrt(4t + 1) gives the closed form, its floor and m* = (isqrt(4t+1) + 1)//2,
+and bound_report passes B_{t/2} in, so each BoundReport is built once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .functable import FunctionTable
@@ -72,13 +77,16 @@ class TriangularDecomposition:
     weight: int
 
     def __post_init__(self):
-        if list(self.parts) != sorted(self.parts, reverse=True):
+        parts = self.parts
+        if list(parts) != sorted(parts, reverse=True):
             raise ValueError("parts must be non-increasing")
-        if any(r < 2 for r in self.parts):
+        if parts and parts[-1] < 2:  # the least part, once the order holds
             raise ValueError("parts must be >= 2")
-        if sum(triangular_number(r) for r in self.parts) != self.k:
+        total = sum(parts)
+        # sum T_r = k, doubled: sum r(r - 1) = sum r^2 - sum r = 2k
+        if sum(map(operator.mul, parts, parts)) - total != 2 * self.k:
             raise ValueError("parts do not sum to k")
-        if self.weight != sum(r - 1 for r in self.parts):
+        if self.weight != total - len(parts):
             raise ValueError("weight must equal sum of (r_i - 1)")
 
 
@@ -96,15 +104,21 @@ def lower_bound(n: int, s: int, t: int) -> tuple[Fraction, int]:
         raise ValueError("s must be >= 2")
     if t < 0:
         raise ValueError("collision count must be non-negative")
-    value = Fraction(n - Fraction(t, math.factorial(s)), s - 1)
+    f = math.factorial(s)
+    value = Fraction(n * f - t, f * (s - 1))
     return value, math.ceil(value)
 
 
 def max_multiplicity_for(s: int, t: int) -> int:
     """Largest m with P(m, s) <= t; the maximal multiplicity any f with
-    N_s(f) = t can have.  Requires t >= s!."""
+    N_s(f) = t can have.  Requires t >= s!.
+
+    For s = 2, m(m - 1) <= t reads (2m - 1)^2 <= 4t + 1, so m* is
+    (isqrt(4t + 1) + 1) // 2; other s search by doubling and bisection."""
     if t < math.factorial(s):
         raise InfeasibleError(f"no function has 0 < N_{s} < {s}! (got {t})")
+    if s == 2:
+        return (math.isqrt(4 * t + 1) + 1) // 2
     lo = s  # P(s, s) = s! <= t
     hi = s + 1
     while math.perm(hi, s) <= t:
@@ -151,21 +165,65 @@ def _gap(t: int) -> int:
     return (i - 1) // 2 if i * i == d else (i + 1) // 2
 
 
-def s2_report(n: int, t: int) -> BoundReport:
-    """The closed-form s = 2 report for N_2 = t, without checking t: the
-    applications (planar functions, product sets) derive theirs from it.
+S2_PROVENANCE = {
+    "lower": "pair-deficit bound n - t/2",
+    "upper": "quadratic-root bound n - 2t/(1+sqrt(4t+1))",
+}
 
-    The upper bound n - 2t/(1+sqrt(4t+1)) equals n - (sqrt(4t+1)-1)/2, so
-    its floor is n - _gap(t), with no floating point involved; when 4t+1 is
-    a square the bound is attained exactly.
+_REFINED_PROVENANCE = {
+    **S2_PROVENANCE,
+    "upper_refined": "triangular-weight refinement n - B_{t/2}",
+    "upper_max_multiplicity": "collision-capacity bound n - ceil(t / (m* P(m*-2, s-2)))",
+}
+
+
+def s2_report(
+    n: int,
+    t: int,
+    lower_real: Fraction | None = None,
+    provenance: dict[str, str] | None = None,
+    extras: dict[str, int] | None = None,
+    *,
+    bk: int | None = None,
+) -> BoundReport:
+    """The s = 2 report for N_2 = t, built once and without checking t.
+
+    The lower bound defaults to the pair deficit n - t/2 and the extras to
+    m1_lower; the applications (planar functions, product sets) pass their
+    own lower bound, provenance and extras instead.  The upper bound
+    n - 2t/(1+sqrt(4t+1)) equals n - (sqrt(4t+1)-1)/2, and the one root
+    i = isqrt(4t+1) gives its floor n - _gap(t) with no floating point;
+    when 4t+1 = i^2 the bound is attained exactly.  bound_report passes only
+    bk = B_{t/2}: the report then folds in the refinement n - B_{t/2}, and
+    its provenance and extras add that and the max-multiplicity bound
+    n - ceil(t/m*), with m* = (i + 1) // 2.
     """
-    lower_real = Fraction(2 * n - t, 2)
     d = 4 * t + 1
     i = math.isqrt(d)
     if i * i == d:
         upper_real: Fraction | float = Fraction(2 * n - i + 1, 2)
+        upper_int = n - (i - 1) // 2
     else:
         upper_real = n - (math.sqrt(d) - 1.0) / 2.0  # diagnostic only
+        upper_int = n - (i + 1) // 2
+    if lower_real is None:
+        lower_real = Fraction(2 * n - t, 2)
+    if bk is None:
+        if provenance is None:
+            provenance = dict(S2_PROVENANCE)
+        if extras is None:
+            extras = {"m1_lower": max(0, n - t)}
+    else:
+        refined = n - bk
+        upper_int = min(upper_int, refined)
+        m_star = (i + 1) // 2  # largest m with m(m - 1) <= t
+        provenance = dict(_REFINED_PROVENANCE)
+        extras = {
+            "m1_lower": max(0, n - t),
+            "upper_int_max_multiplicity": n - (-(-t // m_star)),
+            "upper_int_refined": refined,
+            "b_k": bk,
+        }
     return BoundReport(
         n=n,
         s=2,
@@ -173,21 +231,22 @@ def s2_report(n: int, t: int) -> BoundReport:
         lower_real=lower_real,
         lower_int=math.ceil(lower_real),
         upper_real=upper_real,
-        upper_int=n - _gap(t),
-        provenance={
-            "lower": "pair-deficit bound n - t/2",
-            "upper": "quadratic-root bound n - 2t/(1+sqrt(4t+1))",
-        },
-        extras={"m1_lower": max(0, n - t)},
+        upper_int=upper_int,
+        provenance=provenance,
+        extras=extras,
     )
 
 
-def bounds_s2(n: int, t: int) -> BoundReport:
-    """Two-sided bound for s = 2; t must be even (pair collisions pair up)."""
+def _check_pair_count(t: int) -> None:
     if t < 0:
         raise ValueError("collision count must be non-negative")
     if t % 2:
         raise ParityError(f"N_2 is necessarily even, got {t}")
+
+
+def bounds_s2(n: int, t: int) -> BoundReport:
+    """Two-sided bound for s = 2; t must be even (pair collisions pair up)."""
+    _check_pair_count(t)
     return s2_report(n, t)
 
 
@@ -305,26 +364,10 @@ def wan_degree_bound(q: int, d: int) -> int:
 def bound_report(n: int, s: int, t: int) -> BoundReport:
     """Assembled report for arbitrary s; for s = 2 includes the refinement."""
     if s == 2:
-        report = bounds_s2(n, t)
-        refined = upper_bound_refined_s2(n, t)
-        exact = upper_bound_exact(n, 2, t)
-        return replace(
-            report,
-            upper_int=min(report.upper_int, refined),
-            provenance={
-                **report.provenance,
-                "upper_refined": "triangular-weight refinement n - B_{t/2}",
-                "upper_max_multiplicity": (
-                    "collision-capacity bound n - ceil(t / (m* P(m*-2, s-2)))"
-                ),
-            },
-            extras={
-                **report.extras,
-                "upper_int_max_multiplicity": exact,
-                "upper_int_refined": refined,
-                "b_k": n - refined,
-            },
-        )
+        _check_pair_count(t)
+        k = t // 2
+        _check_bk_domain(k)
+        return s2_report(n, t, bk=_bk(k)[0])
     low_real, low_int = lower_bound(n, s, t)
     upper = upper_bound_exact(n, s, t)
     return BoundReport(

@@ -117,8 +117,10 @@ def _cmd_bounds(args):
         raise InputFormatError("--n and --t must be at most BOUNDS_LIMIT = 10^300 (the report's floats)")
     if s > BOUNDS_S_LIMIT:
         raise InputFormatError(f"--s must be at most BOUNDS_S_LIMIT = {BOUNDS_S_LIMIT}, got {s}")
-    if s >= 2 and not 0 <= t <= math.perm(n, s):
-        raise InputFormatError(f"--t must lie in [0, P(n, s)] = [0, {math.perm(n, s)}], got {t}")
+    if s >= 2:
+        cap = math.perm(n, s)
+        if not 0 <= t <= cap:
+            raise InputFormatError(f"--t must lie in [0, P(n, s)] = [0, {cap}], got {t}")
     report = bound_report(n, s, t)
     return report.to_dict(), 0
 

@@ -46,9 +46,9 @@ import math
 import operator
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
-from .bounds import BoundReport, s2_report
+from .bounds import S2_PROVENANCE, BoundReport, s2_report
 from .functable import FunctionTable
 from .gf import FieldPoly, FieldSpec, field_build, interpolate, poly_values, prime_power_decomposition
 
@@ -384,9 +384,8 @@ def verify_average_lemma(f: FieldPoly) -> tuple[int, bool]:
 
 def poly_version_bounds(q: int) -> BoundReport:
     """Image-count bounds for a polynomial whose N_2 equals the average q-1."""
-    report = s2_report(q, q - 1)
     hypothesis = "collision count at its average value q-1"
-    return replace(report, provenance={**report.provenance, "hypothesis": hypothesis})
+    return s2_report(q, q - 1, provenance={**S2_PROVENANCE, "hypothesis": hypothesis})
 
 
 def up_invariant(f: FieldPoly) -> int | None:

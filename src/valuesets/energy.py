@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, starmap
 
@@ -156,10 +156,10 @@ def energy_bounds(pair: SubsetPair) -> BoundReport:
     if lower_real < 1:
         lower_real = Fraction(1)
         lower += " (clamped to 1)"
-    return replace(
-        s2_report(n, e - n),
-        lower_real=lower_real,
-        lower_int=math.ceil(lower_real),
-        provenance={"lower": lower, "upper": "quadratic-root bound with t = E - n"},
-        extras={"energy": e, "product_set_size": len(products)},
+    return s2_report(
+        n,
+        e - n,
+        lower_real,
+        {"lower": lower, "upper": "quadratic-root bound with t = E - n"},
+        {"energy": e, "product_set_size": len(products)},
     )

@@ -23,7 +23,11 @@ quantity the library decides with an exact integer kernel:
 - ``average_lemma_terms_oracle`` shifts f by every aX with one field
   product per point, where ``verify_average_lemma`` rotates discrete logs;
 - ``triangular_B_dp`` runs the Theta(k^1.5) dynamic program over every
-  j <= k that the branch and bound of ``triangular_B`` avoids.
+  j <= k that the branch and bound of ``triangular_B`` avoids;
+- ``bound_report_oracle``, ``energy_bounds_oracle`` and
+  ``poly_version_bounds_oracle`` assemble each report from its separate
+  bounds and amend it with ``dataclasses.replace``, finding m* by bisection,
+  where the library builds every report once from one isqrt(4t + 1).
 
 The enumerations refuse, rather than truncate, inputs over their budgets.
 """
@@ -31,11 +35,19 @@ The enumerations refuse, rather than truncate, inputs over their budgets.
 from __future__ import annotations
 
 import cmath
+import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
-from valuesets.bounds import triangular_number
-from valuesets.energy import SubsetPair
+from valuesets.bounds import (
+    BoundReport,
+    InfeasibleError,
+    ParityError,
+    triangular_number,
+    upper_bound_refined_s2,
+)
+from valuesets.energy import SubsetPair, _product_multiplicities
 from valuesets.functable import FunctionTable, MultiplicitySpectrum
 from valuesets.gf import FieldElement, FieldPoly, FieldSpec, poly_values, prime_factors
 
@@ -321,3 +333,148 @@ def triangular_B_dp(k: int, table: list[tuple[int, int]] | None = None) -> tuple
         parts.append(r)
         j -= triangular_number(r)
     return table[k][0], tuple(parts)
+
+
+# -- bound reports, assembled from their parts --------------------------------
+
+def lower_bound_oracle(n: int, s: int, t: int) -> tuple[Fraction, int]:
+    """(n - t/s!) / (s - 1) with its ceiling, as a nested Fraction."""
+    if s < 2:
+        raise ValueError("s must be >= 2")
+    if t < 0:
+        raise ValueError("collision count must be non-negative")
+    value = Fraction(n - Fraction(t, math.factorial(s)), s - 1)
+    return value, math.ceil(value)
+
+
+def max_multiplicity_oracle(s: int, t: int) -> int:
+    """Largest m with P(m, s) <= t, by doubling and bisection."""
+    if t < math.factorial(s):
+        raise InfeasibleError(f"no function has 0 < N_{s} < {s}! (got {t})")
+    lo = s
+    hi = s + 1
+    while math.perm(hi, s) <= t:
+        lo = hi
+        hi *= 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if math.perm(mid, s) <= t:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def upper_bound_exact_oracle(n: int, s: int, t: int) -> int:
+    """n - ceil(t / (m* P(m* - 2, s - 2))), with m* by bisection."""
+    if s < 2:
+        raise ValueError("s must be >= 2")
+    if t < 0:
+        raise ValueError("collision count must be non-negative")
+    if t == 0:
+        return n
+    m_star = max_multiplicity_oracle(s, t)
+    return n - (-(-t // (m_star * math.perm(m_star - 2, s - 2))))
+
+
+def s2_report_oracle(n: int, t: int) -> BoundReport:
+    """The closed-form s = 2 report; its floor n - g takes the least g with
+    g(g + 1) >= t from a search, not from the parity of isqrt(4t + 1)."""
+    d = 4 * t + 1
+    i = math.isqrt(d)
+    lower_real = Fraction(2 * n - t, 2)
+    if i * i == d:
+        upper_real = Fraction(2 * n - i + 1, 2)
+    else:
+        upper_real = n - (math.sqrt(d) - 1.0) / 2.0
+    gap = math.isqrt(t)  # then the least g with g(g + 1) >= t, by search
+    while gap * (gap + 1) < t:
+        gap += 1
+    while gap and (gap - 1) * gap >= t:
+        gap -= 1
+    return BoundReport(
+        n=n,
+        s=2,
+        collision_count=t,
+        lower_real=lower_real,
+        lower_int=math.ceil(lower_real),
+        upper_real=upper_real,
+        upper_int=n - gap,
+        provenance={
+            "lower": "pair-deficit bound n - t/2",
+            "upper": "quadratic-root bound n - 2t/(1+sqrt(4t+1))",
+        },
+        extras={"m1_lower": max(0, n - t)},
+    )
+
+
+def bound_report_oracle(n: int, s: int, t: int) -> BoundReport:
+    """The s = 2 closed form, then n - B_{t/2} and the max-multiplicity bound
+    merged in by ``replace``; for other s, the two general bounds."""
+    if s == 2:
+        if t < 0:
+            raise ValueError("collision count must be non-negative")
+        if t % 2:
+            raise ParityError(f"N_2 is necessarily even, got {t}")
+        report = s2_report_oracle(n, t)
+        refined = upper_bound_refined_s2(n, t)
+        exact = upper_bound_exact_oracle(n, 2, t)
+        return replace(
+            report,
+            upper_int=min(report.upper_int, refined),
+            provenance={
+                **report.provenance,
+                "upper_refined": "triangular-weight refinement n - B_{t/2}",
+                "upper_max_multiplicity": (
+                    "collision-capacity bound n - ceil(t / (m* P(m*-2, s-2)))"
+                ),
+            },
+            extras={
+                **report.extras,
+                "upper_int_max_multiplicity": exact,
+                "upper_int_refined": refined,
+                "b_k": n - refined,
+            },
+        )
+    low_real, low_int = lower_bound_oracle(n, s, t)
+    upper = upper_bound_exact_oracle(n, s, t)
+    return BoundReport(
+        n=n,
+        s=s,
+        collision_count=t,
+        lower_real=low_real,
+        lower_int=low_int,
+        upper_real=float(upper),
+        upper_int=upper,
+        provenance={
+            "lower": "collision-deficit bound (n - t/s!)/(s-1)",
+            "upper": "collision-capacity bound n - ceil(t / (m* P(m*-2, s-2)))",
+        },
+    )
+
+
+def energy_bounds_oracle(pair: SubsetPair) -> BoundReport:
+    """The closed-form report for t = E - n with the energy lower bound,
+    provenance and extras put in by ``replace``."""
+    n = len(pair.a) * len(pair.b)
+    products = _product_multiplicities(pair)
+    e = sum(m * m for m in products.values())
+    lower_real = Fraction(3 * n - e, 2)
+    lower = "energy-deficit bound (3n - E)/2"
+    if lower_real < 1:
+        lower_real = Fraction(1)
+        lower += " (clamped to 1)"
+    return replace(
+        s2_report_oracle(n, e - n),
+        lower_real=lower_real,
+        lower_int=math.ceil(lower_real),
+        provenance={"lower": lower, "upper": "quadratic-root bound with t = E - n"},
+        extras={"energy": e, "product_set_size": len(products)},
+    )
+
+
+def poly_version_bounds_oracle(q: int) -> BoundReport:
+    """The closed-form report for t = q - 1 with the hypothesis appended."""
+    report = s2_report_oracle(q, q - 1)
+    hypothesis = "collision count at its average value q-1"
+    return replace(report, provenance={**report.provenance, "hypothesis": hypothesis})

@@ -1,15 +1,23 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from oracles import bk_dp_table, triangular_B_dp
+from oracles import (
+    bk_dp_table,
+    bound_report_oracle,
+    lower_bound_oracle,
+    max_multiplicity_oracle,
+    triangular_B_dp,
+)
 from valuesets.bounds import (
     BK_LIMIT,
     InfeasibleError,
     ParityError,
+    TriangularDecomposition,
     bound_report,
     bounds_s2,
     construct_lower_tight,
@@ -363,3 +371,106 @@ def test_sandwich_on_random_functions(values):
     assert v <= upper_bound_refined_s2(n, t2)
     assert v <= bounds_s2(n, t2).upper_int
     assert spectrum(f).multiplicity(1) >= bounds_s2(n, t2).extras["m1_lower"]
+
+
+def _outcome(fn, *args):
+    """The report's dict (keys in order) or the type of what fn raised."""
+    try:
+        report = fn(*args)
+    except Exception as exc:  # the type is the comparison
+        return type(exc)
+    d = report.to_dict()
+    return report, d, list(d), list(d["provenance"]), list(d["extras"])
+
+
+def _assert_matches_oracle(n, s, t):
+    got = _outcome(bound_report, n, s, t)
+    assert got == _outcome(bound_report_oracle, n, s, t), (n, s, t)
+    return got
+
+
+def test_bound_report_s2_matches_oracle_for_every_small_t():
+    squares = 0
+    for t in range(0, 4001, 2):
+        i = math.isqrt(4 * t + 1)
+        squares += i * i == 4 * t + 1
+        for n in (1, 45, 2000, 10**6):
+            got = _assert_matches_oracle(n, 2, t)
+            assert not isinstance(got, type), (n, t)
+    assert squares == 63  # t = r(r + 1) for r = 0..62: the exact closed form
+
+
+def test_bound_report_s2_matches_oracle_on_sampled_large_t():
+    rng = random.Random(20121)
+    ts = [2 * BK_LIMIT, 2 * BK_LIMIT - 2, 2 * 61 * 62]
+    for e in range(4, 21):
+        ts += [2 * rng.randrange(10**e) for _ in range(2)]
+        r = rng.randrange(10**(e // 2), 10**(e // 2 + 1))
+        ts.append(r * (r + 1) if r * (r + 1) <= 2 * BK_LIMIT else 2 * rng.randrange(BK_LIMIT))
+    for t in ts:
+        for n in (t // 3 + 1, 10**25):
+            got = _assert_matches_oracle(n, 2, t)
+            assert not isinstance(got, type), (n, t)
+
+
+def test_bound_report_general_s_matches_oracle():
+    rng = random.Random(20122)
+    for s in (3, 4, 5):
+        f = math.factorial(s)
+        ts = [0, f, f + 1, 2 * f - 1] + list(range(1, f))  # 0 < t < s! is infeasible
+        ts += [rng.randrange(10**e) for e in range(1, 31) for _ in range(3)]
+        for t in ts:
+            for n in (1, 10, 10**6):
+                got = _assert_matches_oracle(n, s, t)
+                assert (got is InfeasibleError) == (0 < t < f), (n, s, t)
+                assert lower_bound(n, s, t) == lower_bound_oracle(n, s, t)
+
+
+def test_bound_report_s2_refusals_match_oracle():
+    cases = [
+        (10, 3, ParityError),
+        (10, 2 * BK_LIMIT + 1, ParityError),
+        (10, -1, ValueError),
+        (10, -2, ValueError),
+        (10**25, 2 * BK_LIMIT + 2, ValueError),
+        (10**25, 4 * BK_LIMIT, ValueError),
+    ]
+    for n, t, kind in cases:
+        assert _outcome(bound_report, n, 2, t) is kind, (n, t)
+        assert _assert_matches_oracle(n, 2, t) is kind, (n, t)
+
+
+def test_max_multiplicity_s2_closed_form_matches_bisection():
+    for t in range(2, 10**5 + 1):
+        assert max_multiplicity_for(2, t) == max_multiplicity_oracle(2, t), t
+    rng = random.Random(20123)
+    for e in range(5, 301, 5):
+        for t in (rng.randrange(10**e), 10**e):
+            m = max_multiplicity_oracle(2, t)
+            assert max_multiplicity_for(2, t) == m, t
+            assert m * (m - 1) <= t < (m + 1) * m
+    for t in (0, 1):
+        with pytest.raises(InfeasibleError):
+            max_multiplicity_for(2, t)
+
+
+@pytest.mark.parametrize(
+    "k, parts, weight, message",
+    [
+        (4, (2, 3), 3, "non-increasing"),  # T_2 + T_3 = 4, out of order
+        (3, (3, 1), 2, ">= 2"),  # T_1 = 0 adds nothing but a part
+        (3, (3, 0), 2, ">= 2"),
+        (5, (3, 2), 3, "sum to k"),
+        (4, (3, 2), 4, "weight"),
+        (4, (3, 2), 2, "weight"),
+    ],
+)
+def test_triangular_decomposition_rejects_bad_witnesses(k, parts, weight, message):
+    with pytest.raises(ValueError, match=message):
+        TriangularDecomposition(k, parts, weight)
+
+
+def test_triangular_decomposition_accepts_witnesses():
+    assert TriangularDecomposition(0, (), 0).weight == 0
+    assert TriangularDecomposition(4, (3, 2), 3).parts == (3, 2)
+    assert TriangularDecomposition(7, (3, 3, 2), 5).k == 7

@@ -112,6 +112,25 @@ def test_bounds_s_limit(capsys, monkeypatch):
         assert captured.out == "" and f"BOUNDS_S_LIMIT = {s}" in captured.err
 
 
+def test_bounds_refusal_computes_the_falling_factorial_once(capsys, monkeypatch):
+    calls = []
+    perm = cli.math.perm
+
+    def counting(*args):
+        calls.append(args)
+        return perm(*args)
+
+    monkeypatch.setattr(cli.math, "perm", counting)
+    for n, s, t in ((10, 2, 91), (10, 3, 721), (5, 6, 1), (10**300, 1000, -4)):
+        calls.clear()
+        assert main(["bounds", "--n", str(n), "--s", str(s), "--t", str(t)]) == 2
+        assert calls == [(n, s)]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if n < 100:  # P(10^300, 1000) has more digits than str() converts
+            assert f"[0, {perm(n, s)}]" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -25,7 +25,7 @@ from valuesets.conditions import test_c3 as check_c3
 from valuesets.conditions import test_c4 as check_c4
 from valuesets.functable import FunctionTable, collision_count, image_count
 from valuesets.gf import FieldPoly, field_build, poly_table, primitive_elements
-from oracles import average_lemma_terms_oracle
+from oracles import average_lemma_terms_oracle, poly_version_bounds_oracle
 
 F5 = field_build(5)
 F7 = field_build(7)
@@ -174,6 +174,15 @@ def test_poly_version_bounds():
     assert (r.lower_int, r.upper_int) == (2, 2)
     r = poly_version_bounds(9)
     assert (r.lower_int, r.upper_int) == (5, 6)
+
+
+def test_poly_version_bounds_match_oracle():
+    # odd q - 1 too: the hypothesis report does not check parity
+    for q in range(2, 5001):
+        got, want = poly_version_bounds(q), poly_version_bounds_oracle(q)
+        assert got == want, q
+        d, e = got.to_dict(), want.to_dict()
+        assert d == e and list(d["provenance"]) == list(e["provenance"]), q
 
 
 def test_planar_meets_poly_version_lower_bound():

@@ -13,7 +13,7 @@ from valuesets.energy import (
     product_set,
 )
 from valuesets.functable import collision_count
-from oracles import EnumerationBudgetError, energy_oracle
+from oracles import EnumerationBudgetError, energy_bounds_oracle, energy_oracle
 
 # S_3 as permutation composition; element 0 is the identity
 S3_TABLE = [
@@ -116,6 +116,23 @@ def test_energy_bounds_sandwich_random():
         pair = SubsetPair(g, a, b)
         r = energy_bounds(pair)
         assert r.lower_int <= len(product_set(pair)) <= r.upper_int
+
+
+def test_energy_bounds_match_oracle():
+    rng = random.Random(78)
+    groups = [GroupSpec.cyclic(n) for n in (1, 2, 7, 12, 31)]
+    groups += [GroupSpec.product_of_cyclics(o) for o in ((2, 3), (4, 6, 5))]
+    groups.append(GroupSpec.from_cayley(S3_TABLE))
+    for g in groups:
+        for _ in range(40):
+            a = tuple(rng.sample(range(g.order), rng.randrange(1, g.order + 1)))
+            b = tuple(rng.sample(range(g.order), rng.randrange(1, g.order + 1)))
+            pair = SubsetPair(g, a, b)
+            got, want = energy_bounds(pair), energy_bounds_oracle(pair)
+            assert got == want, pair
+            d, e = got.to_dict(), want.to_dict()
+            assert d == e and list(d["provenance"]) == list(e["provenance"]), pair
+            assert list(d["extras"]) == list(e["extras"]), pair
 
 
 def test_product_of_cyclics():
