@@ -9,8 +9,10 @@ B_k.  B_k is computed exactly by a memoized branch and bound over the largest
 part, pruned with the lower bound ceil((sqrt(8k+1) - 1)/2), for k up to
 BK_LIMIT.
 
-Every s = 2 report is assembled in one pass by s2_report: one root
-isqrt(4t + 1) gives the closed form, its floor and m* = (isqrt(4t+1) + 1)//2,
+The one integer gap of the s = 2 bound, g = ceil((sqrt(4t+1) - 1)/2), is
+_gap(t), the only root isqrt(4t + 1) in the package; it also prunes the B_k
+search.  Every s = 2 report is assembled in one pass by s2_report from that
+gap: the closed form, its floor n - g and m* = g + [g(g + 1) = t],
 and bound_report passes B_{t/2} in, so each BoundReport is built once.
 """
 
@@ -113,12 +115,10 @@ def max_multiplicity_for(s: int, t: int) -> int:
     """Largest m with P(m, s) <= t; the maximal multiplicity any f with
     N_s(f) = t can have.  Requires t >= s!.
 
-    For s = 2, m(m - 1) <= t reads (2m - 1)^2 <= 4t + 1, so m* is
-    (isqrt(4t + 1) + 1) // 2; other s search by doubling and bisection."""
+    Found by doubling and bisection for every s; the s = 2 reports read
+    m* from _gap instead (s2_report)."""
     if t < math.factorial(s):
         raise InfeasibleError(f"no function has 0 < N_{s} < {s}! (got {t})")
-    if s == 2:
-        return (math.isqrt(4 * t + 1) + 1) // 2
     lo = s  # P(s, s) = s! <= t
     hi = s + 1
     while math.perm(hi, s) <= t:
@@ -191,21 +191,21 @@ def s2_report(
     The lower bound defaults to the pair deficit n - t/2 and the extras to
     m1_lower; the applications (planar functions, product sets) pass their
     own lower bound, provenance and extras instead.  The upper bound
-    n - 2t/(1+sqrt(4t+1)) equals n - (sqrt(4t+1)-1)/2, and the one root
-    i = isqrt(4t+1) gives its floor n - _gap(t) with no floating point;
-    when 4t+1 = i^2 the bound is attained exactly.  bound_report passes only
-    bk = B_{t/2}: the report then folds in the refinement n - B_{t/2}, and
-    its provenance and extras add that and the max-multiplicity bound
-    n - ceil(t/m*), with m* = (i + 1) // 2.
+    n - 2t/(1+sqrt(4t+1)) equals n - (sqrt(4t+1)-1)/2, and its floor is
+    n - g for the gap g = _gap(t), with no floating point; when g(g + 1) = t,
+    i.e. 4t+1 = (2g + 1)^2, the bound is attained exactly.  bound_report
+    passes only bk = B_{t/2}: the report then folds in the refinement
+    n - B_{t/2}, and its provenance and extras add that and the
+    max-multiplicity bound n - ceil(t/m*), with m* = g + 1 when attained
+    and g otherwise.
     """
-    d = 4 * t + 1
-    i = math.isqrt(d)
-    if i * i == d:
-        upper_real: Fraction | float = Fraction(2 * n - i + 1, 2)
-        upper_int = n - (i - 1) // 2
+    gap = _gap(t)
+    attained = gap * (gap + 1) == t  # 4t + 1 = (2g + 1)^2
+    upper_int = n - gap
+    if attained:
+        upper_real: Fraction | float = Fraction(n - gap)
     else:
-        upper_real = n - (math.sqrt(d) - 1.0) / 2.0  # diagnostic only
-        upper_int = n - (i + 1) // 2
+        upper_real = n - (math.sqrt(4 * t + 1) - 1.0) / 2.0  # diagnostic only
     if lower_real is None:
         lower_real = Fraction(2 * n - t, 2)
     if bk is None:
@@ -216,7 +216,7 @@ def s2_report(
     else:
         refined = n - bk
         upper_int = min(upper_int, refined)
-        m_star = (i + 1) // 2  # largest m with m(m - 1) <= t
+        m_star = gap + attained  # largest m with m(m - 1) <= t
         provenance = dict(_REFINED_PROVENANCE)
         extras = {
             "m1_lower": max(0, n - t),

@@ -118,8 +118,10 @@ def _cmd_bounds(args):
     if s > BOUNDS_S_LIMIT:
         raise InputFormatError(f"--s must be at most BOUNDS_S_LIMIT = {BOUNDS_S_LIMIT}, got {s}")
     if s >= 2:
+        if t < 0:  # P(n, s) may have more digits than str() converts
+            raise InputFormatError(f"--t must lie in [0, P(n, s)], got {t}")
         cap = math.perm(n, s)
-        if not 0 <= t <= cap:
+        if t > cap:  # then cap < t <= 10^300 prints
             raise InputFormatError(f"--t must lie in [0, P(n, s)] = [0, {cap}], got {t}")
     report = bound_report(n, s, t)
     return report.to_dict(), 0

@@ -50,7 +50,15 @@ from dataclasses import asdict, dataclass
 
 from .bounds import S2_PROVENANCE, BoundReport, s2_report
 from .functable import FunctionTable
-from .gf import FieldPoly, FieldSpec, field_build, interpolate, poly_values, prime_power_decomposition
+from .gf import (
+    FieldPoly,
+    FieldSpec,
+    _digits_of,
+    field_build,
+    interpolate,
+    poly_values,
+    prime_power_decomposition,
+)
 
 CLASSIFY_BUDGET = 1_000_000  # default cap on q**q table enumerations
 
@@ -125,18 +133,16 @@ class ClassificationSummary:
 
 # -- value-table level tests ------------------------------------------------
 
-def difference_values(spec: FieldSpec, values, a: int) -> list[int]:
-    """Table of x -> f(x+a) - f(x) from f's value table."""
+def difference_table(f: FieldPoly, a) -> FunctionTable:
+    """FunctionTable of the difference map x -> f(x + a) - f(x), a != 0,
+    read from the kernel's row as _c1_scan reads it."""
+    spec = f.spec
+    a = spec.encoding(a)
     if a == 0:
         raise ValueError("difference map needs a != 0")
-    q = spec.q
-    return [spec.sub(values[spec.add(x, a)], values[x]) for x in range(q)]
-
-
-def difference_table(f: FieldPoly, a) -> FunctionTable:
-    """FunctionTable of the difference map of f with shift a != 0."""
-    vals = difference_values(f.spec, poly_values(f), f.spec.encoding(a))
-    return FunctionTable(f.spec.q, tuple(vals))
+    S, N = _spread_lists(spec, poly_values(f))
+    red = spec.reduce
+    return FunctionTable(spec.q, tuple(red[S[s] + n] for s, n in zip(spec.add_rows()[a], N)))
 
 
 # The kernel works on a value table f with the field's carry-free lists
@@ -430,11 +436,7 @@ def wsc_lower(f: FieldPoly) -> int | None:
 
 def index_to_values(index: int, q: int) -> list[int]:
     """Lexicographic enumeration: index digits base q, values[0] most significant."""
-    out = [0] * q
-    for pos in range(q - 1, -1, -1):
-        out[pos] = index % q
-        index //= q
-    return out
+    return _digits_of(index, q, q)[::-1]
 
 
 def _classify_shard(args) -> tuple[list[int], list[int | None]]:

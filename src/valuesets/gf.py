@@ -72,7 +72,9 @@ def _fp_trim(a: list[int]) -> list[int]:
 
 
 def _fp_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    """Remainder of a modulo the monic polynomial m."""
+    """Remainder of a modulo the monic polynomial m, for a with coefficients
+    in [0, p): the irreducibility test's trial division, and the one
+    reduction modulo a field's modulus (FieldSpec._raw_mul, _chirp_plan)."""
     a = list(a)
     dm = len(m) - 1
     while len(a) - 1 >= dm and a:
@@ -207,24 +209,15 @@ class FieldSpec:
         self.k = k
         self.q = p**k
         self.modulus = modulus
-        # X^j for j in [k, 2k-2], reduced, as digit vectors
-        self._xpow = []
         if k > 1:
             if modulus is None:
                 # canonical: the least non-leading coefficient encoding
                 self.modulus = next(_monic_irreducibles(p, k))
             elif not _fp_is_irreducible(list(modulus), p):
                 raise FieldConstructionError(f"modulus {list(modulus)} is reducible over F_{p}")
-            cur = [(-c) % p for c in self.modulus[:-1]]  # X^k
-            for _ in range(k - 1):
-                self._xpow.append(list(cur))
-                cur = [0] + cur  # multiply by X
-                lead = cur.pop() if len(cur) > k else 0
-                if lead:
-                    for i, c in enumerate(self.modulus[:-1]):
-                        cur[i] = (cur[i] - lead * c) % p
 
     def _raw_mul(self, a: int, b: int) -> int:
+        """a * b from the digit convolution, reduced by _fp_mod."""
         if self.k == 1:
             return (a * b) % self.p
         p, k = self.p, self.k
@@ -235,14 +228,7 @@ class FieldSpec:
             if ai:
                 for j, bj in enumerate(db):
                     conv[i + j] = (conv[i + j] + ai * bj) % p
-        out = conv[:k]
-        for j in range(k, 2 * k - 1):
-            cj = conv[j]
-            if cj:
-                red = self._xpow[j - k]
-                for i in range(k):
-                    out[i] = (out[i] + cj * red[i]) % p
-        return _encode_digits(out, p)
+        return _encode_digits(_fp_mod(conv, self.modulus, p), p)
 
     def _raw_pow(self, x: int, e: int) -> int:
         result = 1
@@ -411,8 +397,8 @@ class FieldSpec:
             t = (t + m) % n
         chirp = int.from_bytes(b"".join([rows[self.exp[t]] for t in tri]), "little")
         fold = [0]
-        for xp in self._xpow:  # X^(k+t) for t = 0 .. k-2
-            step, multiples = _encode_digits(xp, p), [0]
+        for j in range(k, 2 * k - 1):  # X^j mod the modulus, by _fp_mod
+            step, multiples = _encode_digits(_fp_mod([0] * j + [1], self.modulus, p), p), [0]
             for _ in range(p - 1):
                 multiples.append(self.add(multiples[-1], step))
             fold = [self.add(f, m) for m in multiples for f in fold]

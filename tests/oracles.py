@@ -17,6 +17,10 @@ quantity the library decides with an exact integer kernel:
   ``interpolate`` inverts the transform of ``poly_values``;
 - ``is_primitive_oracle`` raises x to (q - 1)/l for each prime l | q - 1,
   where ``is_primitive`` reads one discrete log;
+- ``mul_oracle`` multiplies the digit vectors and divides by the modulus,
+  where ``FieldSpec.mul`` reads the discrete-log lists;
+- ``difference_values`` computes f(x + a) - f(x) with two field calls per
+  point, where ``difference_table`` reads the kernel's carry-free row;
 - ``dft_oracle``, ``poly_values_horner`` and ``up_invariant_oracle`` compute
   term by term (Horner's rule at every point, the power sums one k at a
   time) what ``FieldSpec.transform`` gets from one integer product;
@@ -180,6 +184,39 @@ def is_primitive_oracle(x: FieldElement) -> bool:
     return all(
         spec.pow(x.value, (q - 1) // ell) != 1 for ell in prime_factors(q - 1)
     )
+
+
+def mul_oracle(spec: FieldSpec, a: int, b: int) -> int:
+    """a * b in GF(p^k): the product of the base-p digit vectors (highest
+    degree first), then long division by the monic modulus."""
+    p, k = spec.p, spec.k
+    if k == 1:
+        return a * b % p
+
+    def digits(x):  # highest degree first
+        return [x // p**i % p for i in reversed(range(k))]
+
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(digits(a)):
+        for j, bj in enumerate(digits(b)):
+            prod[i + j] += ai * bj
+    modulus = spec.modulus[::-1]  # highest degree first, leading 1
+    for i in range(k - 1):  # cancel the terms of degree 2k - 2 - i >= k
+        lead = prod[i]
+        for j, mj in enumerate(modulus):
+            prod[i + j] -= lead * mj
+    value = 0
+    for d in prod[k - 1 :]:
+        value = value * p + d % p
+    return value
+
+
+def difference_values(spec: FieldSpec, values, a: int) -> list[int]:
+    """Table of x -> f(x+a) - f(x) from f's value table, two field calls per
+    point."""
+    if a == 0:
+        raise ValueError("difference map needs a != 0")
+    return [spec.sub(values[spec.add(x, a)], values[x]) for x in range(spec.q)]
 
 
 def dft_oracle(spec: FieldSpec, a) -> list[int]:

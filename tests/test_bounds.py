@@ -11,6 +11,7 @@ from oracles import (
     bound_report_oracle,
     lower_bound_oracle,
     max_multiplicity_oracle,
+    s2_report_oracle,
     triangular_B_dp,
 )
 from valuesets.bounds import (
@@ -440,9 +441,26 @@ def test_bound_report_s2_refusals_match_oracle():
         assert _assert_matches_oracle(n, 2, t) is kind, (n, t)
 
 
-def test_max_multiplicity_s2_closed_form_matches_bisection():
+def test_s2_closed_form_matches_oracle_at_huge_t():
+    # t = r(r + 1) makes 4t + 1 = (2r + 1)^2 a square of up to 301 digits:
+    # the bound is attained there, and only there among t + {-2, 0, 2}
+    attained = 0
+    for e in range(1, 151):
+        r = 10**e
+        for delta in (-2, 0, 2):
+            t = r * (r + 1) + delta
+            for n in (t // 3 + 1, 10**300):
+                got = bounds_s2(n, t)
+                assert got == s2_report_oracle(n, t), (e, delta, n)
+                attained += isinstance(got.upper_real, Fraction)
+    assert attained == 2 * 150
+
+
+def test_max_multiplicity_s2_brackets_t_and_matches_the_oracle():
     for t in range(2, 10**5 + 1):
-        assert max_multiplicity_for(2, t) == max_multiplicity_oracle(2, t), t
+        m = max_multiplicity_for(2, t)
+        assert m == max_multiplicity_oracle(2, t), t
+        assert m * (m - 1) <= t < (m + 1) * m, t
     rng = random.Random(20123)
     for e in range(5, 301, 5):
         for t in (rng.randrange(10**e), 10**e):

@@ -121,13 +121,17 @@ def test_bounds_refusal_computes_the_falling_factorial_once(capsys, monkeypatch)
         return perm(*args)
 
     monkeypatch.setattr(cli.math, "perm", counting)
-    for n, s, t in ((10, 2, 91), (10, 3, 721), (5, 6, 1), (10**300, 1000, -4)):
+    for n, s, t in ((10, 2, 91), (10, 3, 721), (5, 6, 1), (10**300, 1000, -4), (10, 2, -2)):
         calls.clear()
         assert main(["bounds", "--n", str(n), "--s", str(s), "--t", str(t)]) == 2
-        assert calls == [(n, s)]
         captured = capsys.readouterr()
         assert captured.out == ""
-        if n < 100:  # P(10^300, 1000) has more digits than str() converts
+        assert "--t must lie in [0, P(n, s)]" in captured.err
+        assert f"got {t}" in captured.err
+        if t < 0:  # a negative t is refused before P(n, s) is computed
+            assert calls == []
+        else:
+            assert calls == [(n, s)]
             assert f"[0, {perm(n, s)}]" in captured.err
 
 

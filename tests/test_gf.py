@@ -25,6 +25,7 @@ from oracles import (
     char_sum_sq_is_q,
     interpolate_oracle,
     is_primitive_oracle,
+    mul_oracle,
     reduce_mod_qx,
 )
 
@@ -362,6 +363,36 @@ def test_pow_matches_repeated_multiplication():
         assert spec.pow(0, 0) == 1 and spec.pow(0, 3) == 0
         with pytest.raises(ZeroDivisionError):
             spec.pow(0, -1)
+
+
+def test_products_and_exp_match_the_long_division_oracle():
+    # every pair over the small fields, sampled pairs above them; exp must be
+    # the power cycle of the least x of order q - 1, orders by brute force
+    rng = random.Random(20190)
+    cases = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (2, 7), (3, 5), (5, 3)]
+    for p, k in cases:
+        spec = FieldSpec(p, k)
+        q = spec.q
+        if q <= 81:
+            pairs = itertools.product(range(q), repeat=2)
+        else:
+            pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(3000)]
+        for a, b in pairs:
+            want = mul_oracle(spec, a, b)
+            assert spec._raw_mul(a, b) == want, (p, k, a, b)
+            assert spec.mul(a, b) == want, (p, k, a, b)
+
+        def order(x):
+            e, y = 1, x
+            while y != 1:
+                e, y = e + 1, mul_oracle(spec, y, x)
+            return e
+
+        g = next(x for x in range(1, q) if order(x) == q - 1)
+        cycle = [1]
+        for _ in range(q - 2):
+            cycle.append(mul_oracle(spec, cycle[-1], g))
+        assert spec.exp == cycle, (p, k)
 
 
 def test_trace_table_matches_definition():

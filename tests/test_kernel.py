@@ -35,13 +35,12 @@ from valuesets.conditions import (
     _value_counts,
     classify_all,
     condition_profile,
-    difference_values,
     index_to_values,
     profile_from_values,
 )
 from valuesets.functable import FunctionTable, collision_count
 from valuesets.gf import FieldPoly, FieldSpec, field_build, poly_values
-from oracles import char_count_vector_from_values, char_sum_sq_is_q
+from oracles import char_count_vector_from_values, char_sum_sq_is_q, difference_values
 
 # (p, k) of the sampled fields: q = 7, 8, 9, 25, 27, 49, 81
 SAMPLED = [(7, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4)]
