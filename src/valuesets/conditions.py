@@ -195,9 +195,14 @@ def _difference_counts(spec: FieldSpec, counts) -> list[int]:
 
 def _c2_holds(spec: FieldSpec, counts, n2: int) -> bool:
     """C2: c(0) = 2q - 1 and c(h) = q - 1 for every h != 0.  Since
-    c(0) = q + N_2, a table that fails C4 fails here at once."""
+    c(0) = q + N_2, a table that fails C4 fails here at once, and one that
+    meets C4 is refuted first by c(1) = sum_v m(v) m(v - 1), O(q) from the
+    value counts m; only a table with c(1) = q - 1 pays for every c(h)."""
     q = len(counts)
     if n2 != q - 1:
+        return False
+    spread, red, minus_one = spec.spread, spec.reduce, spec.nspread[1]
+    if sum(m * counts[red[spread[v] + minus_one]] for v, m in enumerate(counts) if m) != q - 1:
         return False
     # c[0] = 2q - 1, so the q - 1 entries equal to q - 1 must be all the others
     return _difference_counts(spec, counts).count(q - 1) == q - 1

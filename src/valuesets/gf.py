@@ -5,11 +5,14 @@ are the coordinates in the polynomial basis of the chosen irreducible
 modulus.  That encoding gives a total order used for canonical witnesses and
 for primitive-element enumeration.  Every element argument is an element of
 the same field or an int encoding in [0, q); anything else raises ValueError
-(FieldSpec.encoding).  Addition is carry-free for every field: three
-lists of q, q and (2p - 1)^k entries, built on first use, and no q x q
-table (FieldSpec).  Polynomial values, power sums and interpolation go
-through one length-(q - 1) DFT over GF(q), computed as a single integer
-product (FieldSpec.transform).  field_build keeps the fields it built, so
+(FieldSpec.encoding).  Multiplication reads the discrete-log lists of the
+least generator g, built on first use in O(q) table steps: x -> x g is
+F_p-linear in the digits of x, so one table of x g, made from the k images
+X^d g, is walked once (FieldSpec.exp).  Addition is carry-free for every
+field: three lists of q, q and (2p - 1)^k entries, built on first use, and
+no q x q table (FieldSpec).  Polynomial values, power sums and
+interpolation go through one length-(q - 1) DFT over GF(q), computed as a
+single integer product (FieldSpec.transform).  field_build keeps the fields it built, so
 each is planned once per process.  Intended for desk-scale fields (q up to
 ~10^4); irreducibility is certified by trial division.
 """
@@ -74,7 +77,8 @@ def _fp_trim(a: list[int]) -> list[int]:
 def _fp_mod(a: list[int], m: list[int], p: int) -> list[int]:
     """Remainder of a modulo the monic polynomial m, for a with coefficients
     in [0, p): the irreducibility test's trial division, and the one
-    reduction modulo a field's modulus (FieldSpec._raw_mul, _chirp_plan)."""
+    reduction modulo a field's modulus (FieldSpec._raw_mul, the images
+    X^d g of FieldSpec.exp, _chirp_plan)."""
     a = list(a)
     dm = len(m) - 1
     while len(a) - 1 >= dm and a:
@@ -140,6 +144,35 @@ def _rebase(k: int, digit_values, base: int) -> list[int]:
     return out
 
 
+def _linear_table(p: int, images) -> list[int]:
+    """out[x] = sum_d x_d images[d] over F_p, for the base-p digits x_d of
+    x: the table of the F_p-linear map that takes p^d to the k-digit vector
+    images[d].
+
+    x = lo + p^a hi, with a = ceil(k/2), splits the map into the images of
+    lo and of hi: p^a and p^(k-a) digit vectors, built one digit at a time.
+    Each is kept as its spread (base 2p - 1, as FieldSpec.spread), cut at
+    digit a, so the two add without carry, and each half of a sum is reduced
+    mod p by one list of (2p - 1)^a or (2p - 1)^(k-a) entries: no list of
+    (2p - 1)^k entries is built."""
+    k, base = len(images), 2 * p - 1
+    a = (k + 1) // 2
+
+    def spreads(imgs):
+        vecs = [[0] * k]
+        for img in imgs:  # each pass appends the next, more significant digit
+            vecs = [[(s + j * c) % p for s, c in zip(v, img)] for j in range(p) for v in vecs]
+        return [(_encode_digits(v[:a], base), _encode_digits(v[a:], base)) for v in vecs]
+
+    lo, hi = spreads(images[:a]), spreads(images[a:])
+    low = _rebase(a, [d % p for d in range(base)], p)
+    high = _rebase(k - a, [d % p * p**a for d in range(base)], p)
+    out = []
+    for hl, hh in hi:
+        out += [low[l + hl] + high[h + hh] for l, h in lo]
+    return out
+
+
 def _field_args(p: int, k: int, modulus) -> tuple[int, ...] | None:
     """Check the field parameters that need no search: p a prime int, k an
     int >= 1, and a given modulus monic of degree k with int coefficients in
@@ -195,7 +228,8 @@ class FieldSpec:
     integer encodings.  Use :func:`field_build` to construct one.
 
     Multiplication goes through the discrete-log lists ``exp``/``log`` in
-    every field, built on first use by ``_raw_mul``.  Addition is
+    every field, built on first use by walking one table of x * g, where g
+    is the least generator (``_raw_pow`` tests the candidates).  Addition is
     carry-free for every p and k: ``spread[x]`` re-reads the base-p digits
     of x in base 2p - 1 and ``nspread[x] = spread[-x]``, so the digits of
     ``spread[a] + spread[b]`` and ``spread[a] + nspread[b]`` stay below
@@ -217,9 +251,7 @@ class FieldSpec:
                 raise FieldConstructionError(f"modulus {list(modulus)} is reducible over F_{p}")
 
     def _raw_mul(self, a: int, b: int) -> int:
-        """a * b from the digit convolution, reduced by _fp_mod."""
-        if self.k == 1:
-            return (a * b) % self.p
+        """a * b for k >= 2, from the digit convolution reduced by _fp_mod."""
         p, k = self.p, self.k
         da = _digits_of(a, p, k)
         db = _digits_of(b, p, k)
@@ -231,28 +263,42 @@ class FieldSpec:
         return _encode_digits(_fp_mod(conv, self.modulus, p), p)
 
     def _raw_pow(self, x: int, e: int) -> int:
+        """x^e by square and multiply over _raw_mul (pow mod p when k = 1):
+        the generator test of exp, which reads no discrete log."""
+        if self.k == 1:
+            return pow(x, e, self.p)
         result = 1
-        base = x
         while e:
             if e & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
+                result = self._raw_mul(result, x)
+            x = self._raw_mul(x, x)
             e >>= 1
         return result
 
     @cached_property
     def exp(self) -> list[int]:
         """exp[i] = g^i for i < q - 1, where g is the least generator of the
-        multiplicative group; built on first use."""
-        q = self.q
+        multiplicative group; built on first use.  The search for g starts
+        at p when k >= 2, since every x < p lies in GF(p)* and has order
+        below q - 1.  x -> x g is F_p-linear in the digits of x, so one
+        table of x g (_linear_table, from the k images X^d g reduced by
+        _fp_mod) gives exp[i] = times_g[exp[i - 1]], one lookup a power."""
+        p, k, q = self.p, self.k, self.q
         factors = prime_factors(q - 1)
         gen = next(
-            x for x in range(1, q)
+            x for x in range(p if k > 1 else 1, q)
             if all(self._raw_pow(x, (q - 1) // ell) != 1 for ell in factors)
         )
+        if k == 1:
+            times_g = [x * gen % p for x in range(p)]
+        else:
+            g = _digits_of(gen, p, k)
+            images = [_fp_mod([0] * d + g, self.modulus, p) for d in range(k)]
+            times_g = _linear_table(p, [v + [0] * (k - len(v)) for v in images])
         out = [1] * (q - 1)
+        x = 1
         for i in range(1, q - 1):
-            out[i] = self._raw_mul(out[i - 1], gen)
+            x = out[i] = times_g[x]
         return out
 
     @cached_property

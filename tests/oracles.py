@@ -18,7 +18,8 @@ quantity the library decides with an exact integer kernel:
 - ``is_primitive_oracle`` raises x to (q - 1)/l for each prime l | q - 1,
   where ``is_primitive`` reads one discrete log;
 - ``mul_oracle`` multiplies the digit vectors and divides by the modulus,
-  where ``FieldSpec.mul`` reads the discrete-log lists;
+  and ``pow_oracle`` squares and multiplies with it, where ``FieldSpec.mul``
+  and ``FieldSpec.pow`` read the discrete-log lists;
 - ``difference_values`` computes f(x + a) - f(x) with two field calls per
   point, where ``difference_table`` reads the kernel's carry-free row;
 - ``dft_oracle``, ``poly_values_horner`` and ``up_invariant_oracle`` compute
@@ -209,6 +210,17 @@ def mul_oracle(spec: FieldSpec, a: int, b: int) -> int:
     for d in prod[k - 1 :]:
         value = value * p + d % p
     return value
+
+
+def pow_oracle(spec: FieldSpec, x: int, e: int) -> int:
+    """x^e for e >= 0 by square and multiply over mul_oracle."""
+    result = 1
+    while e:
+        if e & 1:
+            result = mul_oracle(spec, result, x)
+        x = mul_oracle(spec, x, x)
+        e >>= 1
+    return result
 
 
 def difference_values(spec: FieldSpec, values, a: int) -> list[int]:

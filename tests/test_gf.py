@@ -16,6 +16,7 @@ from valuesets.gf import (
     poly_eval,
     poly_table,
     poly_values,
+    prime_factors,
     primitive_elements,
 )
 from oracles import (
@@ -26,6 +27,7 @@ from oracles import (
     interpolate_oracle,
     is_primitive_oracle,
     mul_oracle,
+    pow_oracle,
     reduce_mod_qx,
 )
 
@@ -349,50 +351,82 @@ def test_large_extension_field_adds_digits_without_tables():
 
 
 def test_pow_matches_repeated_multiplication():
-    # the digit-convolution product (a * b mod p in a prime field), which
-    # does not read the log tables
+    # the long-division product, which does not read the log tables
     for p, k in ((2, 2), (2, 3), (3, 2), (5, 2), (2, 1), (7, 1), (13, 1)):
         spec = field_build(p, k)
         for x in range(1, spec.q):
             acc = 1
             for e in range(2 * spec.q + 1):
                 assert spec.pow(x, e) == acc, (p, k, x, e)
-                assert spec._raw_mul(spec.pow(x, -e), acc) == 1, (p, k, x, -e)
-                assert spec.mul(acc, x) == spec._raw_mul(acc, x), (p, k, x, e)
-                acc = spec._raw_mul(acc, x)
+                assert mul_oracle(spec, spec.pow(x, -e), acc) == 1, (p, k, x, -e)
+                assert spec.mul(acc, x) == mul_oracle(spec, acc, x), (p, k, x, e)
+                acc = mul_oracle(spec, acc, x)
         assert spec.pow(0, 0) == 1 and spec.pow(0, 3) == 0
         with pytest.raises(ZeroDivisionError):
             spec.pow(0, -1)
 
 
+def least_generator_cycle(spec):
+    """The power cycle of the least x of order q - 1, orders by brute force
+    over mul_oracle."""
+    q = spec.q
+
+    def order(x):
+        e, y = 1, x
+        while y != 1:
+            e, y = e + 1, mul_oracle(spec, y, x)
+        return e
+
+    g = next(x for x in range(1, q) if order(x) == q - 1)
+    cycle = [1]
+    for _ in range(q - 2):
+        cycle.append(mul_oracle(spec, cycle[-1], g))
+    return cycle
+
+
 def test_products_and_exp_match_the_long_division_oracle():
     # every pair over the small fields, sampled pairs above them; exp must be
-    # the power cycle of the least x of order q - 1, orders by brute force
+    # the power cycle of the least x of order q - 1
     rng = random.Random(20190)
-    cases = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (2, 7), (3, 5), (5, 3)]
-    for p, k in cases:
-        spec = FieldSpec(p, k)
-        q = spec.q
+    # every modulus of GF(4), GF(8), GF(9), GF(16), GF(25) and GF(27), the
+    # canonical one above them
+    specs = [
+        FieldSpec(p, k, m)
+        for p, k in ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3))
+        for m in all_irreducible_moduli(p, k)
+    ]
+    specs += [FieldSpec(p, k) for p, k in ((7, 2), (3, 4), (2, 7), (3, 5), (5, 3))]
+    for spec in specs:
+        p, k, q = spec.p, spec.k, spec.q
         if q <= 81:
             pairs = itertools.product(range(q), repeat=2)
         else:
             pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(3000)]
         for a, b in pairs:
             want = mul_oracle(spec, a, b)
-            assert spec._raw_mul(a, b) == want, (p, k, a, b)
-            assert spec.mul(a, b) == want, (p, k, a, b)
+            assert spec._raw_mul(a, b) == want, (spec, a, b)
+            assert spec.mul(a, b) == want, (spec, a, b)
+        assert spec.exp == least_generator_cycle(spec), spec
 
-        def order(x):
-            e, y = 1, x
-            while y != 1:
-                e, y = e + 1, mul_oracle(spec, y, x)
-            return e
+    # larger fields, where exp walks the longest multiply-by-g tables: exp is
+    # a permutation of 1 .. q - 1, sampled steps multiply by g = exp[1], and
+    # g is the least x passing the (q - 1)/l power test, powers by mul_oracle
+    for p, k in ((7, 4), (5, 5), (3, 8), (2, 13)):
+        spec = field_build(p, k)
+        q, exp = spec.q, spec.exp
+        g = exp[1]
+        assert sorted(exp) == list(range(1, q)), (p, k)
+        for i in rng.sample(range(q - 2), 2000):
+            assert exp[i + 1] == mul_oracle(spec, exp[i], g), (p, k, i)
+        assert mul_oracle(spec, exp[-1], g) == 1, (p, k)
+        factors = prime_factors(q - 1)
 
-        g = next(x for x in range(1, q) if order(x) == q - 1)
-        cycle = [1]
-        for _ in range(q - 2):
-            cycle.append(mul_oracle(spec, cycle[-1], g))
-        assert spec.exp == cycle, (p, k)
+        def generates(x):
+            return all(pow_oracle(spec, x, (q - 1) // ell) != 1 for ell in factors)
+
+        assert generates(g), (p, k)
+        assert not any(generates(x) for x in range(1, g)), (p, k)
+        assert spec.log[g] == 1 and all(spec.log[x] == i for i, x in enumerate(exp)), (p, k)
 
 
 def test_trace_table_matches_definition():

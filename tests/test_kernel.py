@@ -26,9 +26,11 @@ import pytest
 from valuesets import conditions
 from valuesets.conditions import (
     _c1_scan,
+    _c2_holds,
     _c2_scan,
     _c3_scan,
     _classify_shard,
+    _difference_counts,
     _n2,
     _scan_shifts,
     _spread_lists,
@@ -181,6 +183,75 @@ def test_c2_scan_refuses_to_disagree(monkeypatch):
     counts = _value_counts(poly_values(FieldPoly(spec, [0, 0, 1])), spec.q)
     with pytest.raises(AssertionError, match="integer C2 test"):
         _c2_scan(spec, counts, _n2(counts))
+
+
+def c2_by_full_count(spec, counts, n2):
+    """C2 from every difference count, with no c(1) refutation."""
+    q = spec.q
+    return n2 == q - 1 and _difference_counts(spec, counts).count(q - 1) == q - 1
+
+
+def c4_tables(spec, rng, samples):
+    """Tables with N_2 = q - 1: (q - 1)/2 values taken twice, or one taken
+    three times and (q - 7)/2 twice, the rest once each, on shuffled points.
+    Each draw comes with its values scaled by 1/h for an h whose difference
+    count is q - 1, when one exists, so that c(1) = q - 1 there."""
+    q = spec.q
+    for _ in range(samples):
+        mults = [2] * ((q - 1) // 2) if rng.random() < 0.5 else [3] + [2] * ((q - 7) // 2)
+        mults += [1] * (q - sum(mults))
+        values = [v for v, m in zip(rng.sample(range(q), len(mults)), mults) for _ in range(m)]
+        rng.shuffle(values)
+        yield values
+        c = _difference_counts(spec, _value_counts(values, q))
+        hs = [h for h in range(1, q) if c[h] == q - 1]
+        if hs:
+            h_inv = spec.inv(rng.choice(hs))
+            yield [spec.mul(h_inv, v) for v in values]
+
+
+def test_c2_refutation_from_c1_matches_the_full_count():
+    def check(spec, values):
+        counts = _value_counts(values, spec.q)
+        n2 = _n2(counts)
+        want = c2_by_full_count(spec, counts, n2)
+        assert _c2_holds(spec, counts, n2) == want, (spec, values)
+        return want
+
+    for p, k in ((3, 1), (2, 2), (5, 1)):
+        spec = field_build(p, k)
+        held = sum(check(spec, v) for v in itertools.product(range(spec.q), repeat=spec.q))
+        assert held > 0 or p == 2, (p, k)
+
+    for p, k in ((7, 1), (3, 2), (5, 2), (127, 1), (251, 1)):
+        spec = field_build(p, k)
+        q = spec.q
+        rng = random.Random(f"c2-refutation/{p}^{k}")
+        c1_only = 0  # tables with c(1) = q - 1 that the full count refutes
+        for values in c4_tables(spec, rng, 200 if q < 100 else 20):
+            counts = _value_counts(values, q)
+            if not check(spec, values) and _difference_counts(spec, counts)[1] == q - 1:
+                c1_only += 1
+        assert c1_only > 0, (p, k)
+        for values in planar_quadratics(spec, rng):
+            assert check(spec, values), (p, k)
+
+    # X^((p+1)/2) for p = 3 mod 4: not planar (mask 0111), yet its value
+    # counts are those of X^2 and it meets C2
+    for p in (7, 11, 19, 43):
+        spec = field_build(p)
+        f = FieldPoly(spec, [0] * ((p + 1) // 2) + [1])
+        assert check(spec, poly_values(f)), p
+        assert condition_profile(f).mask == "0111", p
+
+
+def test_c2_fails_from_c1_without_the_full_count(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("full difference count on a table that c(1) refutes")
+
+    monkeypatch.setattr(conditions, "_difference_counts", forbidden)
+    f = FieldPoly(field_build(4099), [0, 771, 0, 1])
+    assert condition_profile(f).mask == "0001"
 
 
 def test_classify_caps_workers_at_cpu_count(monkeypatch):
