@@ -307,8 +307,7 @@ def triangular_B(k: int) -> tuple[int, TriangularDecomposition]:
 
 def upper_bound_refined_s2(n: int, t: int) -> int:
     """Refined s = 2 upper bound n - B_{t/2}; dominates the closed form."""
-    if t % 2:
-        raise ParityError(f"N_2 is necessarily even, got {t}")
+    _check_pair_count(t)
     _check_bk_domain(t // 2)
     return n - _bk(t // 2)[0]
 
@@ -319,9 +318,8 @@ def construct_lower_tight(n: int, t: int) -> FunctionTable:
     The first t points are paired off in order (points 2i, 2i+1 share label
     i); the rest get fresh labels.
     """
-    if t % 2:
-        raise ParityError(f"N_2 is necessarily even, got {t}")
-    if t < 0 or t > n:
+    _check_pair_count(t)
+    if t > n:
         raise InfeasibleError(f"pairing construction needs 0 <= t <= n, got t={t}, n={n}")
     values = []
     for i in range(t // 2):

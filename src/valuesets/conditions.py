@@ -46,7 +46,7 @@ import math
 import operator
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .bounds import S2_PROVENANCE, BoundReport, s2_report
 from .functable import FunctionTable
@@ -95,7 +95,7 @@ class ConditionProfile:
         return mask_lattice_ok(self.mask)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "mask": self.mask}
+        return {**vars(self), "mask": self.mask}
 
 
 @dataclass(frozen=True)
@@ -142,13 +142,14 @@ def difference_table(f: FieldPoly, a) -> FunctionTable:
         raise ValueError("difference map needs a != 0")
     S, N = _spread_lists(spec, poly_values(f))
     red = spec.reduce
-    return FunctionTable(spec.q, tuple(red[S[s] + n] for s, n in zip(spec.add_rows()[a], N)))
+    return FunctionTable(spec.q, tuple(red[S[s] + n] for s, n in zip(spec.add_rows()(a), N)))
 
 
 # The kernel works on a value table f with the field's carry-free lists
 # (FieldSpec.spread, nspread, reduce): f(u) - f(v) = reduce[S[u] + N[v]] for
 # the per-table lists S = spread of f and N = nspread of f.  Shifts read the
-# rows add[a][x] = x + a of FieldSpec.add_rows, each built when read.
+# rows add(a)[x] = x + a of a row function: FieldSpec.add_rows builds each row
+# when called, and the classification passes __getitem__ of its prebuilt rows.
 
 def _value_counts(values, q: int) -> list[int]:
     counts = [0] * q
@@ -172,7 +173,7 @@ def _c1_scan(S, N, red, add, shifts=None) -> int | None:
     difference map is not a bijection, else None."""
     for a in range(1, len(S)) if shifts is None else shifts:
         seen = set()
-        for s, n in zip(add[a], N):  # s = x + a, n = nspread f(x)
+        for s, n in zip(add(a), N):  # s = x + a, n = nspread f(x)
             d = red[S[s] + n]  # f(x + a) - f(x)
             if d in seen:
                 return a
@@ -248,7 +249,7 @@ def _c3_scan(values, add, shifts=None) -> int | None:
     difference map has root count != 1, else None."""
     for a in range(1, len(values)) if shifts is None else shifts:
         roots = 0
-        for s, v in zip(add[a], values):  # s = x + a, v = f(x)
+        for s, v in zip(add(a), values):  # s = x + a, v = f(x)
             if values[s] == v:
                 roots += 1
                 if roots > 1:
@@ -453,7 +454,7 @@ def _classify_shard(args) -> tuple[list[int], list[int | None]]:
     qm1 = q - 1
     spread, nspread, red = spec.spread, spec.nspread, spec.reduce
     shift = spec.add_rows()
-    add = [shift[a] for a in range(q)]  # q rows of q entries, read by every table
+    add = [shift(a) for a in range(q)].__getitem__  # q rows of q entries, read by every table
 
     counts = [0] * 16
     first: list[int | None] = [None] * 16

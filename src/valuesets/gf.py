@@ -211,18 +211,6 @@ def _slot_type(p: int, k: int) -> str:
     )
 
 
-class _Rows:
-    """rows[a] = row(a), a list of q entries built each time it is read."""
-
-    __slots__ = ("row",)
-
-    def __init__(self, row):
-        self.row = row
-
-    def __getitem__(self, a: int) -> list[int]:
-        return self.row(a)
-
-
 class FieldSpec:
     """Immutable description of GF(p^k) with table-backed arithmetic on
     integer encodings.  Use :func:`field_build` to construct one.
@@ -394,8 +382,8 @@ class FieldSpec:
     # -- helper tables (condition kernel) ------------------------------------
 
     def add_rows(self):
-        """add_rows()[a][x] = x + a; each row of q entries is built when read,
-        from q/p slices of reduce: x = d + p*y has spread[x] = d + spread[p*y]."""
+        """Row function add_rows()(a)[x] = x + a: each call builds q entries
+        from q/p slices of reduce, as x = d + p*y has spread[x] = d + spread[p*y]."""
         p, spread, red = self.p, self.spread, self.reduce
         starts = spread[::p]
 
@@ -405,18 +393,18 @@ class FieldSpec:
                 out += red[sa + t : sa + t + p]
             return out
 
-        return _Rows(row)
+        return row
 
     def sub_rows(self):
-        """sub_rows()[u][v] = u - v; each row of q entries is built when read."""
+        """Row function sub_rows()(u)[v] = u - v: each call builds q entries."""
         spread, nspread, red = self.spread, self.nspread, self.reduce
-        return _Rows(lambda u: list(map(red.__getitem__, map(spread[u].__add__, nspread))))
+        return lambda u: list(map(red.__getitem__, map(spread[u].__add__, nspread)))
 
     def trace_mul_rows(self):
-        """trace_mul_rows()[h][c] = Tr(h*c); each row of q entries is built
-        when read."""
+        """Row function trace_mul_rows()(h)[c] = Tr(h*c): each call builds q
+        entries."""
         tr, mul, q = self.traces, self.mul, self.q
-        return _Rows(lambda h: [tr[mul(h, c)] for c in range(q)])
+        return lambda h: [tr[mul(h, c)] for c in range(q)]
 
     # -- the discrete Fourier transform over GF(q) -----------------------------
 
@@ -504,9 +492,6 @@ class FieldSpec:
 
     def element(self, value: int) -> "FieldElement":
         return FieldElement(self, value)
-
-    def elements(self):
-        return (FieldElement(self, v) for v in range(self.q))
 
     def __eq__(self, other):
         return (

@@ -48,6 +48,20 @@ def test_lower_bound_rejects_small_s():
         lower_bound(10, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: lower_bound(10, 2, -2), "collision count must be non-negative"),
+        (lambda: upper_bound_exact(10, 1, 4), "s must be >= 2"),
+        (lambda: upper_bound_exact(10, 2, -2), "collision count must be non-negative"),
+    ],
+    ids=["lower-negative-t", "upper-small-s", "upper-negative-t"],
+)
+def test_general_bounds_refuse_outside_their_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_max_multiplicity():
     assert max_multiplicity_for(2, 6) == 3  # P(3,2)=6 <= 6 < P(4,2)=12
     assert max_multiplicity_for(3, 6) == 3  # P(3,3)=6
@@ -253,6 +267,23 @@ def test_construct_lower_tight():
         construct_lower_tight(6, 3)
     with pytest.raises(InfeasibleError):
         construct_lower_tight(3, 4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: upper_bound_refined_s2(10, -2),
+        lambda: construct_lower_tight(5, -2),
+        lambda: construct_lower_tight(5, -3),  # checked for sign before parity
+    ],
+    ids=["refined-even", "construct-even", "construct-odd"],
+)
+def test_s2_entry_points_share_the_pair_count_rule(call):
+    # one rule, _check_pair_count: a negative count is refused as such, not
+    # as odd (ParityError) or infeasible (InfeasibleError)
+    with pytest.raises(ValueError, match="collision count must be non-negative") as info:
+        call()
+    assert type(info.value) is ValueError
 
 
 def test_construct_upper_tight():

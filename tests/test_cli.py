@@ -235,15 +235,35 @@ def test_construct_limit(capsys, monkeypatch):
         assert captured.out == "" and f"CONSTRUCT_LIMIT = {n}" in captured.err
 
 
+class FileText(str):
+    """An argv entry that test_malformed_arguments_exit_2 writes to a file,
+    passing the file's path in its place."""
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["construct", "--kind", "upper", "--n", "10", "--t", "5"], "even collision count"),
         (["field", "--p", "3", "--k", "2", "--modulus", "1,x,1"], "comma-separated integers"),
         (["verify-lemma"], "needs --poly or --q"),
+        (["test-conditions", "--poly", '{"p": 5, "coeffs": [0,'], "invalid polynomial spec JSON"),
+        (["energy", "--cyclic", "5", "--a", "[0, 1", "--b", "[0]"], "invalid subset JSON"),
+        (["test-conditions", "--poly", FileText("[1]")], "must be a JSON object"),
+        (
+            ["energy", "--cayley", FileText("0,1\n1,x\n"), "--a", "[0]", "--b", "[0]"],
+            "Cayley table entries must be integers",
+        ),
+        (["code-bounds", FileText("")], "code assignment has no rows"),
+        (["code-bounds", FileText("c0,m0\nc1,m1,extra\n")], "expected codeword,message rows"),
+        (["construct", "--n", "5", "--t", "-2"], "collision count must be non-negative"),
     ],
 )
-def test_malformed_arguments_exit_2(capsys, argv, message):
+def test_malformed_arguments_exit_2(tmp_path, capsys, argv, message):
+    for i, arg in enumerate(argv):
+        if isinstance(arg, FileText):
+            path = tmp_path / f"input{i}"
+            path.write_text(arg)
+            argv = [*argv[:i], str(path), *argv[i + 1 :]]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
@@ -641,3 +661,48 @@ def test_bench_tracer_finds_every_span_name():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracing_leaves_reports_byte_identical(tmp_path):
+    # the tracer's wrappers must hand every return value through unchanged,
+    # row functions included: each report is printed untraced, then traced
+    root = Path(__file__).resolve().parents[1]
+    table = tmp_path / "t.json"
+    table.write_text('{"domain_size": 6, "values": [0, 0, 1, 1, 2, 5]}')
+    runs = [
+        ["test-conditions", "--poly", '{"p": 3, "k": 4, "coeffs": [0, 1, 0, 0, 2, 0, 0, 0, 0, 0, 1]}'],
+        ["test-conditions", "--poly", '{"p": 5, "k": 3, "coeffs": [0, 0, 1]}'],
+        ["verify-lemma", "--q", "49", "--random", "2"],
+        ["classify", "--q", "3"],
+        ["bounds", "--n", "40", "--t", "12"],
+        ["energy", "--product", "4,6,5", "--a", "[0, 1, 7]", "--b", "[2, 3]"],
+        ["stats", str(table)],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.path[:0] = sys.argv[1:3]\n"
+        "import valuesets.cli as cli, tracer\n"
+        "runs = json.loads(sys.argv[3])\n"
+        "def reports():\n"
+        "    out = []\n"
+        "    for argv in runs:\n"
+        "        buf = io.StringIO()\n"
+        "        with contextlib.redirect_stdout(buf):\n"
+        "            code = cli.main(argv)\n"
+        "        out.append([code, buf.getvalue()])\n"
+        "    return out\n"
+        "plain = reports()\n"
+        "tracer.Tracer().instrument()\n"
+        "print(json.dumps([plain, reports()]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "src"), str(root / "bench"), json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    plain, traced = json.loads(proc.stdout)
+    assert [c for c, _ in plain] == [0] * len(runs)
+    assert all(json.loads(out) for _, out in plain)
+    assert traced == plain

@@ -100,6 +100,36 @@ def test_mask_lattice_admits_exactly_the_consistent_masks():
         assert profile.lattice_ok() == (m in ok)
 
 
+def test_profile_to_dict_holds_every_field_and_the_mask():
+    failing = ConditionProfile(
+        False, False, False, True, n2=6, c1_witness=2, c2_witness=3, c3_witness=4, note="n"
+    )
+    assert failing.to_dict() == {
+        "c1": False,
+        "c2": False,
+        "c3": False,
+        "c4": True,
+        "n2": 6,
+        "c1_witness": 2,
+        "c2_witness": 3,
+        "c3_witness": 4,
+        "note": "n",
+        "mask": "0001",
+    }
+    assert condition_profile(poly(F7, [0, 0, 1])).to_dict() == {
+        "c1": True,
+        "c2": True,
+        "c3": True,
+        "c4": True,
+        "n2": 6,
+        "c1_witness": None,
+        "c2_witness": None,
+        "c3_witness": None,
+        "note": None,
+        "mask": "1111",
+    }
+
+
 def test_constant_profile():
     f = poly(F7, [3])
     profile = condition_profile(f)

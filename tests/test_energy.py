@@ -172,6 +172,23 @@ def test_cayley_validation():
         GroupSpec.from_cayley([[0, 2], [2, 0]])  # out-of-range entries
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([], "square and non-empty"),
+        ([[0, 1], [0, 1]], "column 0 is not a permutation"),  # every row is one
+        # a Latin square with identity 0 in which 2 * 3 = 0 but 3 * 2 = 1
+        (
+            [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]],
+            "element 2 has no two-sided inverse",
+        ),
+    ],
+)
+def test_cayley_refusals_name_the_axiom(table, message):
+    with pytest.raises(GroupAxiomError, match=message):
+        GroupSpec.from_cayley(table)
+
+
 def test_subset_validation():
     g = GroupSpec.cyclic(6)
     with pytest.raises(ValueError):

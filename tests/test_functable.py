@@ -13,6 +13,7 @@ from valuesets.bounds import construct_lower_tight, construct_upper_tight
 from valuesets.formats import load_code_assignment, load_function_table
 from valuesets.functable import (
     FunctionTable,
+    MultiplicitySpectrum,
     collision_count,
     falling_factorial,
     image_count,
@@ -44,6 +45,28 @@ def test_spectrum_mixed():
     assert s.multiplicity(1) == 1 and s.multiplicity(2) == 2
     assert s.multiplicity(3) == 0
     assert image_count(f) == 3
+    with pytest.raises(ValueError, match="must be >= 1"):
+        s.multiplicity(0)
+
+
+@pytest.mark.parametrize(
+    "n, m, counts, message",
+    [
+        (3, 2, (0, 1), "indexed 0..m"),  # one entry short
+        (3, 2, (1, 1, 1), "indexed 0..m"),  # counts[0] != 0
+        (2, 2, (0, 2, 0), "counts\\[m\\] must be positive"),
+        (5, 2, (0, 1, 1), "must equal the domain size"),  # 1 + 2 != 5
+    ],
+)
+def test_spectrum_refuses_inconsistent_counts(n, m, counts, message):
+    with pytest.raises(ValueError, match=message):
+        MultiplicitySpectrum(n, m, counts)
+
+
+def test_table_values_are_stored_as_a_tuple():
+    f = FunctionTable(3, [0, 1, 1])
+    assert f.values == (0, 1, 1) and isinstance(f.values, tuple)
+    assert f == FunctionTable.from_values((0, 1, 1))
 
 
 def test_labels_need_only_equality():

@@ -17,6 +17,7 @@ from valuesets.gf import (
     poly_table,
     poly_values,
     prime_factors,
+    prime_power_decomposition,
     primitive_elements,
 )
 from oracles import (
@@ -56,6 +57,31 @@ def test_nonprime_p_rejected():
         field_build(6)
 
 
+def test_prime_power_decomposition():
+    assert prime_power_decomposition(7) == (7, 1)
+    assert prime_power_decomposition(81) == (3, 4)
+    for q in (1, 12):
+        with pytest.raises(FieldConstructionError, match="not a prime power"):
+            prime_power_decomposition(q)
+
+
+def test_prime_field_takes_no_modulus():
+    with pytest.raises(FieldConstructionError, match="prime fields take no modulus"):
+        field_build(5, 1, [1, 1])
+    # every monic linear polynomial is irreducible
+    assert all_irreducible_moduli(5, 1) == [(c, 1) for c in range(5)]
+
+
+def test_field_and_poly_repr_and_hash():
+    assert repr(F7) == "FieldSpec(p=7)"
+    assert repr(F9) == "FieldSpec(p=3, k=2, modulus=[1, 0, 1])"
+    assert hash(F9) == hash(FieldSpec(3, 2, [1, 0, 1])) != hash(FieldSpec(3, 2, [2, 1, 1]))
+    f = FieldPoly(F9, [1, 0, 2, 0])
+    assert repr(f) == "FieldPoly(FieldSpec(p=3, k=2, modulus=[1, 0, 1]), [1, 0, 2])"
+    assert hash(f) == hash(FieldPoly(field_build(3, 2), [1, 0, 2]))
+    assert len({f, FieldPoly(F9, [1, 0, 2]), FieldPoly(F9, [1, 0, 1])}) == 2
+
+
 def test_arithmetic_f7():
     assert F7.mul(3, 5) == 1
     assert F7.inv(3) == 5
@@ -91,6 +117,10 @@ def test_element_operators():
     assert (a + a - a).value == 3
     assert (a * a.inv()).value == 1
     assert (a**8).value == 1
+    assert (-a).value == 6 and (a + -a).value == 0  # -X = 2X
+    assert a.trace().value == 0  # Tr(X) = X + X^3 = X - X modulo X^2 + 1
+    assert F9.element(1).trace().value == 2  # Tr(1) = 1 + 1
+    assert int(a) == 3
     with pytest.raises(ValueError):
         a + F7.element(1)
 
@@ -210,6 +240,8 @@ def test_interpolate_x_squared():
 def test_interpolate_validates_size():
     with pytest.raises(ValueError):
         interpolate(FunctionTable.identity(5), F7)
+    with pytest.raises(ValueError, match="field-element encodings"):
+        interpolate(FunctionTable(7, (0, 1, 2, 3, 4, 5, 7)), F7)  # label 7 >= q
 
 
 def test_char_count_vector_planar_square():
@@ -320,7 +352,7 @@ def test_table_arithmetic_matches_digits():
         add, neg = _digitwise(spec)
         rows, subs = spec.add_rows(), spec.sub_rows()
         for a, b in itertools.product(range(q), repeat=2):
-            assert rows[a][b] == add(a, b) and subs[a][b] == add(a, neg(b))
+            assert rows(a)[b] == add(a, b) and subs(a)[b] == add(a, neg(b))
     rng = random.Random(5)
     for p, k in ((2, 7), (3, 5)):
         spec = field_build(p, k)
@@ -339,12 +371,12 @@ def test_large_extension_field_adds_digits_without_tables():
         add, neg = _digitwise(spec)
         rows, subs = spec.add_rows(), spec.sub_rows()
         for a in {a for a, _ in pairs[:5]}:
-            assert rows[a] == [add(x, a) for x in range(q)]
-            assert subs[a] == [add(a, neg(x)) for x in range(q)]
-        if q > 2048:  # trace rows are built when read, at any q
+            assert rows(a) == [add(x, a) for x in range(q)]
+            assert subs(a) == [add(a, neg(x)) for x in range(q)]
+        if q > 2048:  # trace rows are built per call, at any q
             traced = spec.trace_mul_rows()
             for h in [rng.randrange(q) for _ in range(3)]:
-                assert traced[h] == [spec.trace_int(spec.mul(h, c)) for c in range(q)]
+                assert traced(h) == [spec.trace_int(spec.mul(h, c)) for c in range(q)]
         assert len(spec.reduce) == (2 * p - 1) ** k
         held = [v for v in vars(spec).values() if isinstance(v, list)]
         assert held and all(len(v) <= max(q, (2 * p - 1) ** k) for v in held), (p, k)
