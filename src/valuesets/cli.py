@@ -29,6 +29,7 @@ from .bounds import (
     construct_upper_tight,
     triangular_B,
     triangular_number,
+    upper_bound_refined_s2,
 )
 from .conditions import (
     CLASSIFY_BUDGET,
@@ -148,11 +149,8 @@ def _cmd_construct(args):
         table = construct_lower_tight(args.n, args.t)
         target_v = args.n - args.t // 2
     else:
-        if args.t % 2:
-            raise InputFormatError("upper construction needs an even collision count")
+        target_v = upper_bound_refined_s2(args.n, args.t)
         table = construct_upper_tight(args.n, args.t // 2)
-        bk, _ = triangular_B(args.t // 2)
-        target_v = args.n - bk
     achieved_v = image_count(table)
     achieved_n2 = collision_count(table, 2)
     result = {
@@ -181,7 +179,7 @@ def _cmd_field(args):
         "modulus_canonical": modulus is None,
         "primitive_count": len(prims),
         "primitive_elements": [e.value for e in prims] if spec.q <= 1024 else None,
-        "trace_of_one": spec.trace_int(1),
+        "trace_of_one": spec.traces[1],
     }
     return result, 0
 

@@ -228,12 +228,12 @@ def _c2_scan(spec: FieldSpec, counts, n2: int) -> int | None:
         return None
     if spec.k == 1:
         return 1
-    mul, tr = spec.mul, spec.trace_int
+    mul, tr = spec.mul, spec.traces
     support = [(v, m) for v, m in enumerate(counts) if m]
     for h in range(1, q):
         t = [0] * p
         for v, m in support:
-            t[tr(mul(h, v))] += m
+            t[tr[mul(h, v)]] += m
         nonzero = [(i, ti) for i, ti in enumerate(t) if ti]
         d = [0] * p
         for i, ti in nonzero:
@@ -509,13 +509,15 @@ def classify_all(
     """
     if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
-    p, k = prime_power_decomposition(q)
-    total = q**q
-    if total > budget:
+    # q^q >= 2^q > budget once q exceeds the budget's bit length: refused
+    # before q is factored or q^q formed
+    if q > budget.bit_length() or q**q > budget:
         raise ClassificationBudgetError(
-            f"classifying GF({q}) means {q}^{q} = {total} tables, over budget "
+            f"classifying GF({q}) means {q}^{q} tables, over budget "
             f"{budget}; pass an explicit larger budget to force it"
         )
+    p, k = prime_power_decomposition(q)
+    total = q**q
     spec = field_build(p, k, modulus)
     mod = spec.modulus
 

@@ -93,10 +93,9 @@ def _fp_mod(a: list[int], m: list[int], p: int) -> list[int]:
 
 
 def _fp_is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
+    """Trial division of a monic poly of degree >= 1 by every monic
+    polynomial of degree 1..deg/2."""
     degree = len(poly) - 1
-    if degree < 1 or poly[-1] != 1:
-        return False
     if degree == 1:
         return True
     if poly[0] == 0:  # divisible by X
@@ -357,27 +356,20 @@ class FieldSpec:
     @cached_property
     def traces(self) -> list[int]:
         """traces[a] = Tr(a) = a + a^p + ... + a^(p^(k-1)), an encoding in
-        [0, p).  Tr is F_p-linear, Tr(sum d_i X^i) = sum d_i Tr(X^i), so the
-        list follows from the traces of the basis X^i (encoding p^i)."""
-        p, k = self.p, self.k
-        basis = []
-        for i in range(k):
-            acc = [0] * k
-            y = p**i
-            for _ in range(k):
-                acc = [(s + d) % p for s, d in zip(acc, _digits_of(y, p, k))]
-                y = self.pow(y, p)
-            if any(acc[1:]):
-                raise AssertionError("trace left the prime subfield")
-            basis.append(acc[0])
+        [0, p).  The conjugates of X are the roots of the modulus m, so
+        Tr(X^i) is their i-th power sum, which Newton's identities give from
+        the coefficients of m: Tr(1) = k and, for 1 <= i < k,
+        Tr(X^i) = -(i m_(k-i) + sum_(j<i) m_(k-j) Tr(X^(i-j))).  Tr is
+        F_p-linear, Tr(sum d_i X^i) = sum d_i Tr(X^i), so the list follows
+        from the traces of the basis X^i (encoding p^i)."""
+        p, k, m = self.p, self.k, self.modulus
+        basis = [k % p]
+        for i in range(1, k):
+            basis.append(-(i * m[k - i] + sum(m[k - j] * basis[i - j] for j in range(1, i))) % p)
         table = [0]
         for t in basis:  # extend from p^i to p^(i+1) encodings by digit i
             table = [(s + d * t) % p for d in range(p) for s in table]
         return table
-
-    def trace_int(self, a: int) -> int:
-        """Tr(a), an encoding in [0, p)."""
-        return self.traces[a]
 
     # -- helper tables (condition kernel) ------------------------------------
 
@@ -419,12 +411,7 @@ class FieldSpec:
         p, k, n = self.p, self.k, self.q - 1
         typecode = _slot_type(p, k)
         size = array(typecode).itemsize
-        digit_bytes = [d.to_bytes(size, "little") for d in range(p)]
-        rows = [b""]
-        for _ in range(k):  # each pass appends the next, more significant digit
-            rows = [r + t for t in digit_bytes for r in rows]
-        pad = bytes(size * (k - 1))
-        rows = [r + pad for r in rows]
+        rows = [r.to_bytes(size * (2 * k - 1), "little") for r in _rebase(k, range(p), 256**size)]
         tri, t = [], 0
         for m in range(n):  # T(m + 1) = T(m) + m
             tri.append(t)
@@ -556,7 +543,7 @@ class FieldElement:
         return FieldElement(self.spec, self.spec.inv(self.value))
 
     def trace(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.trace_int(self.value))
+        return FieldElement(self.spec, self.spec.traces[self.value])
 
     def __int__(self):
         return self.value

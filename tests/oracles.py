@@ -316,7 +316,7 @@ def char_count_vector_from_values(spec: FieldSpec, values, h: int) -> CharacterC
     d = [0] * spec.p
     for c, wc in enumerate(w):
         if wc:
-            d[spec.trace_int(spec.mul(h, c))] += wc
+            d[spec.traces[spec.mul(h, c)]] += wc
     return CharacterCountVector(spec, h, tuple(d))
 
 
@@ -344,7 +344,7 @@ def char_sum_abs_float(f: FieldPoly, h) -> float:
     omega = cmath.exp(2j * cmath.pi / spec.p)
     total = 0j
     for value in poly_values(f):
-        total += omega ** spec.trace_int(spec.mul(hv, value))
+        total += omega ** spec.traces[spec.mul(hv, value)]
     return abs(total)
 
 

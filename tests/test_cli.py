@@ -243,7 +243,7 @@ class FileText(str):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["construct", "--kind", "upper", "--n", "10", "--t", "5"], "even collision count"),
+        (["construct", "--kind", "upper", "--n", "10", "--t", "5"], "necessarily even"),
         (["field", "--p", "3", "--k", "2", "--modulus", "1,x,1"], "comma-separated integers"),
         (["verify-lemma"], "needs --poly or --q"),
         (["test-conditions", "--poly", '{"p": 5, "coeffs": [0,'], "invalid polynomial spec JSON"),
@@ -256,6 +256,13 @@ class FileText(str):
         (["code-bounds", FileText("")], "code assignment has no rows"),
         (["code-bounds", FileText("c0,m0\nc1,m1,extra\n")], "expected codeword,message rows"),
         (["construct", "--n", "5", "--t", "-2"], "collision count must be non-negative"),
+        (["construct", "--kind", "upper", "--n", "10", "--t", "-2"], "collision count must be non-negative"),
+        (["construct", "--kind", "upper", "--n", "10", "--t", "-3"], "collision count must be non-negative"),
+        # 2003^2003 has more digits than str() converts
+        (["classify", "--q", "2003"], "2003^2003 tables, over budget"),
+        (["classify", "--q", "0"], "not a prime power"),
+        (["classify", "--q", "1"], "not a prime power"),
+        (["classify", "--q", "6"], "not a prime power"),
     ],
 )
 def test_malformed_arguments_exit_2(tmp_path, capsys, argv, message):
@@ -390,6 +397,17 @@ def test_classify_counts_lattice_violations(capsys, monkeypatch):
 
 def test_classify_budget_exceeded(capsys):
     assert main(["classify", "--q", "9"]) == 2
+
+
+@pytest.mark.parametrize("q", ["99999989", str(10**18 + 9)])
+def test_classify_refuses_a_large_q_before_factoring_it(q):
+    proc = subprocess.run(
+        [sys.executable, "-m", "valuesets.cli", "classify", "--q", q],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2 and "over budget" in proc.stderr
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

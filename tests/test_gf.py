@@ -127,25 +127,25 @@ def test_element_operators():
 
 def test_trace_prime_field_is_identity():
     for x in range(7):
-        assert F7.trace_int(x) == x
+        assert F7.traces[x] == x
 
 
 def test_trace_f9():
-    assert F9.trace_int(3) == 0  # Tr(alpha) = alpha + alpha^3 = 0
-    assert F9.trace_int(1) == 2
+    assert F9.traces[3] == 0  # Tr(alpha) = alpha + alpha^3 = 0
+    assert F9.traces[1] == 2
 
 
 def test_trace_linear_frobenius_surjective():
     for spec in (F9, field_build(2, 3), field_build(5, 2)):
         q, p = spec.q, spec.p
-        values = [spec.trace_int(x) for x in range(q)]
+        values = [spec.traces[x] for x in range(q)]
         assert all(v < p for v in values)
         hits = {j: values.count(j) for j in range(p)}
         assert all(hits[j] == q // p for j in range(p))  # surjective, balanced
         for x in range(q):
-            assert spec.trace_int(spec.pow(x, p)) == values[x]
+            assert spec.traces[spec.pow(x, p)] == values[x]
             for y in range(q):
-                assert spec.trace_int(spec.add(x, y)) == (values[x] + values[y]) % p
+                assert spec.traces[spec.add(x, y)] == (values[x] + values[y]) % p
 
 
 def test_primitivity():
@@ -313,7 +313,7 @@ def test_all_irreducibles_give_isomorphic_arithmetic():
     for modulus in all_irreducible_moduli(3, 2):
         spec = field_build(3, 2, list(modulus))
         assert len(primitive_elements(spec)) == 4
-        traces = sorted(spec.trace_int(x) for x in range(9))
+        traces = sorted(spec.traces[x] for x in range(9))
         assert traces == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
 
@@ -376,7 +376,7 @@ def test_large_extension_field_adds_digits_without_tables():
         if q > 2048:  # trace rows are built per call, at any q
             traced = spec.trace_mul_rows()
             for h in [rng.randrange(q) for _ in range(3)]:
-                assert traced(h) == [spec.trace_int(spec.mul(h, c)) for c in range(q)]
+                assert traced(h) == [spec.traces[spec.mul(h, c)] for c in range(q)]
         assert len(spec.reduce) == (2 * p - 1) ** k
         held = [v for v in vars(spec).values() if isinstance(v, list)]
         assert held and all(len(v) <= max(q, (2 * p - 1) ** k) for v in held), (p, k)
@@ -462,14 +462,36 @@ def test_products_and_exp_match_the_long_division_oracle():
 
 
 def test_trace_table_matches_definition():
-    for p, k in ((2, 3), (3, 2), (5, 2), (3, 3), (2, 7)):
-        spec = field_build(p, k)
+    # Tr(x) = sum_i x^(p^i), from spec.pow and digit-wise addition: every x
+    # under every modulus of the small fields and of GF(2^7), and 300 seeded
+    # x in each of the larger fields
+    rng = random.Random(23)
+    small = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2))
+    cases = [
+        (field_build(p, k, list(m)), range(p**k))
+        for p, k in small
+        for m in all_irreducible_moduli(p, k)
+    ]
+    cases.append((field_build(2, 7), range(2**7)))
+    for p, k in ((3, 8), (2, 13), (7, 4), (5, 5), (97, 2)):
+        cases.append((field_build(p, k), rng.sample(range(p**k), 300)))
+    assert len(cases) == 1 + 2 + 3 + 3 + 8 + 10 + 21 + 1 + 5
+    for spec, xs in cases:
         add, _ = _digitwise(spec)
-        for x in range(spec.q):
+        for x in xs:
             acc = 0
-            for i in range(k):
-                acc = add(acc, spec.pow(x, p**i))
-            assert spec.trace_int(x) == acc
+            for i in range(spec.k):
+                acc = add(acc, spec.pow(x, spec.p**i))
+            assert spec.traces[x] == acc, (spec, x)
+
+
+def test_traces_come_from_the_modulus_alone():
+    # Newton's identities read only the modulus: neither the discrete-log
+    # lists nor the addition lists are built for the traces
+    for p, k in ((3, 8), (2, 13)):
+        spec = FieldSpec(p, k)  # not field_build's shared field, whose lists may exist
+        assert len(spec.traces) == spec.q
+        assert not {"exp", "log", "spread", "nspread", "reduce"} & set(vars(spec)), (p, k)
 
 
 def test_poly_values_hands_out_copies():

@@ -161,7 +161,7 @@ def test_passing_tables_never_touch_character_sums(monkeypatch):
         raise AssertionError("character-sum oracle on the passing path")
 
     # the trace is the only character input of the witness search
-    monkeypatch.setattr(FieldSpec, "trace_int", forbidden)
+    monkeypatch.setattr(FieldSpec, "traces", property(forbidden))
     monkeypatch.setattr(FieldSpec, "trace_mul_rows", forbidden)
     for p, k in ((7, 1), (3, 2), (5, 2), (3, 4)):
         spec = field_build(p, k)
