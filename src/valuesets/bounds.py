@@ -321,9 +321,7 @@ def construct_lower_tight(n: int, t: int) -> FunctionTable:
     _check_pair_count(t)
     if t > n:
         raise InfeasibleError(f"pairing construction needs 0 <= t <= n, got t={t}, n={n}")
-    values = []
-    for i in range(t // 2):
-        values += [i, i]
+    values = sorted(list(range(t // 2)) * 2)
     values += range(t // 2, t // 2 + n - t)
     return FunctionTable(n, tuple(values))
 

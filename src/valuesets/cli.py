@@ -140,6 +140,8 @@ def _cmd_bk(args):
 
 
 def _cmd_construct(args):
+    if args.n < 1:
+        raise InputFormatError(f"--n must be at least 1, got {args.n}")
     if args.n > CONSTRUCT_LIMIT:
         raise InputFormatError(
             f"--n must be at most CONSTRUCT_LIMIT = {CONSTRUCT_LIMIT} "

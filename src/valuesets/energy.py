@@ -12,7 +12,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product, starmap
+from operator import mul
 
 from .bounds import BoundReport, s2_report
 from .functable import FunctionTable
@@ -117,20 +119,25 @@ class SubsetPair:
                 raise ValueError(f"subset {name} has duplicate elements")
             object.__setattr__(self, attr, tuple(sorted(subset)))
 
-
-def _product_multiplicities(pair: SubsetPair) -> Counter:
-    """How often each product ab occurs, a-major, in one pass over A x B."""
-    return Counter(starmap(pair.group.op, product(pair.a, pair.b)))
+    @cached_property
+    def _tally(self) -> tuple[tuple[int, ...], int]:
+        # The sorted distinct products ab and the energy E = sum of their
+        # squared multiplicities, from one pass of op over A x B.  Not a
+        # dataclass field, so equality, hashing and repr see only the group
+        # and the subsets; the multiplicities themselves are not kept.
+        counts = Counter(starmap(self.group.op, product(self.a, self.b)))
+        m = counts.values()
+        return tuple(sorted(counts)), sum(map(mul, m, m))
 
 
 def product_set(pair: SubsetPair) -> tuple[int, ...]:
     """Sorted distinct products {ab : a in A, b in B}."""
-    return tuple(sorted(_product_multiplicities(pair)))
+    return pair._tally[0]
 
 
 def energy(pair: SubsetPair) -> int:
     """E(A, B): quadruples with ab = a'b', via squared product multiplicities."""
-    return sum(m * m for m in _product_multiplicities(pair).values())
+    return pair._tally[1]
 
 
 def n2_from_energy(pair: SubsetPair) -> int:
@@ -149,8 +156,7 @@ def energy_bounds(pair: SubsetPair) -> BoundReport:
     """Two-sided bound on |A.B| from the energy: lower (3n - E)/2 clamped to
     1, upper from the pair-collision bound with t = E - n."""
     n = len(pair.a) * len(pair.b)
-    products = _product_multiplicities(pair)
-    e = sum(m * m for m in products.values())
+    products, e = pair._tally
     lower_real = Fraction(3 * n - e, 2)
     lower = "energy-deficit bound (3n - E)/2"
     if lower_real < 1:

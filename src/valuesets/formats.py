@@ -35,7 +35,7 @@ def _csv_rows(text: str) -> list[list[str]]:
     such as a cell over the csv module's field size limit, is an
     InputFormatError."""
     try:
-        return [row for row in csv.reader(io.StringIO(text)) if any(c.strip() for c in row)]
+        return [row for row in csv.reader(io.StringIO(text)) if any(map(str.strip, row))]
     except csv.Error as exc:
         raise InputFormatError(f"invalid CSV: {exc}") from exc
 
@@ -85,13 +85,13 @@ def load_function_table(source) -> FunctionTable:
 
 def _function_table_from_csv(text: str) -> FunctionTable:
     rows = _csv_rows(text)
-    cells = [_int_cells(row) for row in rows]
-    if cells and cells[0] is None:
-        rows, cells = rows[1:], cells[1:]  # tolerate a header line
+    if rows and all(_int_cells((cell,)) is None for cell in rows[0]):
+        del rows[0]  # a header line: none of its cells is an integer
     if not rows:
         raise InputFormatError("CSV table has no data rows")
     seen: dict[int, int] = {}
-    for row, ints in zip(rows, cells):
+    for row in rows:
+        ints = _int_cells(row)
         if ints is None or len(ints) != 2:
             raise InputFormatError(f"expected two integer columns, got {row!r}")
         x, fx = ints
@@ -113,8 +113,15 @@ def _int_cells(row) -> tuple[int, ...] | None:
 
 
 def save_function_table(table: FunctionTable, path) -> None:
-    payload = function_table_to_dict(table)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write table as json.dumps(function_table_to_dict(table), indent=2,
+    sort_keys=True) plus a newline would: "domain_size" sorts before
+    "values", the values list is never empty and every entry is a plain
+    non-negative int, so the layout is fixed."""
+    Path(path).write_text(
+        f'{{\n  "domain_size": {table.domain_size},\n  "values": [\n    '
+        + ",\n    ".join(map(str, table.values))
+        + "\n  ]\n}\n"
+    )
 
 
 def function_table_to_dict(table: FunctionTable) -> dict:

@@ -52,7 +52,7 @@ from valuesets.bounds import (
     triangular_number,
     upper_bound_refined_s2,
 )
-from valuesets.energy import SubsetPair, _product_multiplicities
+from valuesets.energy import SubsetPair
 from valuesets.functable import FunctionTable, MultiplicitySpectrum
 from valuesets.gf import FieldElement, FieldPoly, FieldSpec, poly_values, prime_factors
 
@@ -506,7 +506,7 @@ def energy_bounds_oracle(pair: SubsetPair) -> BoundReport:
     """The closed-form report for t = E - n with the energy lower bound,
     provenance and extras put in by ``replace``."""
     n = len(pair.a) * len(pair.b)
-    products = _product_multiplicities(pair)
+    products = Counter(pair.group.op(a, b) for a in pair.a for b in pair.b)
     e = sum(m * m for m in products.values())
     lower_real = Fraction(3 * n - e, 2)
     lower = "energy-deficit bound (3n - E)/2"

@@ -263,6 +263,11 @@ def test_construct_lower_tight():
     assert f.values == (0, 0, 1, 1, 2)
     f = construct_lower_tight(7, 0)
     assert image_count(f) == 7
+    for n in range(1, 61):
+        for t in range(0, n + 1, 2):
+            paired = [j // 2 for j in range(t)]
+            fresh = list(range(t // 2, t // 2 + n - t))
+            assert list(construct_lower_tight(n, t).values) == paired + fresh
     with pytest.raises(ParityError):
         construct_lower_tight(6, 3)
     with pytest.raises(InfeasibleError):

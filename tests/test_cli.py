@@ -263,6 +263,10 @@ class FileText(str):
         (["classify", "--q", "0"], "not a prime power"),
         (["classify", "--q", "1"], "not a prime power"),
         (["classify", "--q", "6"], "not a prime power"),
+        (["construct", "--n", "0", "--t", "0"], "--n must be at least 1, got 0"),
+        (["construct", "--n", "-3", "--t", "0"], "--n must be at least 1, got -3"),
+        (["construct", "--kind", "upper", "--n", "0", "--t", "0"], "--n must be at least 1, got 0"),
+        (["construct", "--kind", "upper", "--n", "-3", "--t", "0"], "--n must be at least 1, got -3"),
     ],
 )
 def test_malformed_arguments_exit_2(tmp_path, capsys, argv, message):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -88,6 +89,25 @@ def test_n2_matches_multiplication_table():
         b = tuple(rng.sample(range(n), rng.randrange(1, n + 1)))
         pair = SubsetPair(g, a, b)
         assert n2_from_energy(pair) == collision_count(multiplication_table(pair), 2)
+
+
+def test_a_pair_tallies_its_products_once():
+    calls = []
+
+    def op(i, j):
+        calls.append((i, j))
+        return (i + j) % 12
+
+    pair = SubsetPair(GroupSpec("counted", 12, op, 0), (0, 1, 5, 9), (2, 3, 7))
+    fresh = SubsetPair(pair.group, pair.a, pair.b)
+    report = energy_bounds(pair)
+    products = product_set(pair)
+    assert energy(pair) == report.extras["energy"]
+    assert n2_from_energy(pair) == energy(pair) - 12
+    assert len(calls) == 4 * 3
+    assert products == tuple(sorted({op(a, b) for a in pair.a for b in pair.b}))
+    assert [f.name for f in dataclasses.fields(SubsetPair)] == ["group", "a", "b"]
+    assert pair == fresh and hash(pair) == hash(fresh) and repr(pair) == repr(fresh)
 
 
 def test_energy_bounds_examples():

@@ -4,6 +4,7 @@ import pytest
 
 from valuesets.formats import (
     InputFormatError,
+    function_table_to_dict,
     load_cayley_csv,
     load_code_assignment,
     load_function_table,
@@ -19,6 +20,15 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "table.json"
     save_function_table(f, path)
     assert load_function_table(path) == f
+
+
+def test_saved_table_is_the_indented_json_dump(tmp_path):
+    path = tmp_path / "table.json"
+    for values in ([0], [10**30, 7], [(j * 7919) ** 3 % (10**30 + 1) for j in range(500)]):
+        f = FunctionTable.from_values(values)
+        save_function_table(f, path)
+        expected = json.dumps(function_table_to_dict(f), indent=2, sort_keys=True) + "\n"
+        assert path.read_text() == expected
 
 
 def test_json_requires_keys(tmp_path):
@@ -80,6 +90,7 @@ def test_csv_rows_must_be_two_integers(tmp_path):
         ("x,fx\n0,5\n1,y\n", "expected two integer columns, got ['1', 'y']"),
         ("0,5\nx,fx\n", "expected two integer columns, got ['x', 'fx']"),
         ("0\n", "expected two integer columns, got ['0']"),
+        ("0,a\n0,5\n1,6\n", "expected two integer columns, got ['0', 'a']"),
     ):
         path.write_text(text)
         with pytest.raises(InputFormatError) as exc:
