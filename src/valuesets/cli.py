@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import json
 import math
 import random
 import sys
@@ -44,6 +42,7 @@ from .energy import GroupSpec, SubsetPair, energy_bounds, product_set
 from .formats import (
     InputFormatError,
     check_field_size,
+    dumps_indented,
     function_table_to_dict,
     is_inline,
     load_cayley_csv,
@@ -51,14 +50,14 @@ from .formats import (
     load_function_table,
     load_poly,
     load_subset,
+    read_input,
 )
 from .functable import (
-    FunctionTable,
     collision_count,
     image_count,
     spectrum,
 )
-from .gf import FieldPoly, field_build, poly_table, primitive_elements, prime_power_decomposition
+from .gf import FieldPoly, field_build, poly_values, primitive_elements, prime_power_decomposition
 
 # Cap on q^2 * N for verify-lemma --random N: each polynomial costs O(q^2)
 # steps, about 16 s at q^2 = 10^8 on a shared 2-vCPU host.  A single
@@ -79,22 +78,20 @@ BOUNDS_S_LIMIT = 1000
 CONSTRUCT_LIMIT = 10**5
 
 
-def _digest_file(args, path) -> None:
-    p = Path(path)
-    if p.is_file():
-        args._digests[str(path)] = hashlib.sha256(p.read_bytes()).hexdigest()
-
-
-def _maybe_digest(args, source: str, what: str) -> None:
-    if not is_inline(source, what):
-        _digest_file(args, source)
+def _input(args, source: str, what: str | None = None):
+    """What a loader reads for a file argument: source itself when it is
+    inline JSON of kind what, else the file it names, read once (a pipe or
+    FIFO too), whose SHA-256 goes to the manifest."""
+    if what is not None and is_inline(source, what):
+        return source
+    stream, args._digests[str(source)] = read_input(source)
+    return stream
 
 
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_stats(args):
-    _digest_file(args, args.table)
-    table = load_function_table(args.table)
+    table = load_function_table(_input(args, args.table))
     spec = spectrum(table)
     n2 = collision_count(table, 2)
     result = {
@@ -187,17 +184,15 @@ def _cmd_field(args):
 
 
 def _cmd_test_conditions(args):
-    _maybe_digest(args, args.poly, "polynomial spec")
-    poly = load_poly(args.poly)
+    poly = load_poly(_input(args, args.poly, "polynomial spec"))
     profile = condition_profile(poly)
-    table = poly_table(poly)
     u = up_invariant(poly)
     result = {
         "q": poly.spec.q,
         "modulus": list(poly.spec.modulus) if poly.spec.modulus else None,
         "coeffs": list(poly.coeffs),
         "profile": profile.to_dict(),
-        "image_count": image_count(table),
+        "image_count": len(set(poly_values(poly))),
         "up_invariant": u,
         "wsc_lower": wsc_from_up(u),
         "lattice_ok": profile.lattice_ok(),
@@ -225,8 +220,7 @@ def _cmd_classify(args):
 def _cmd_verify_lemma(args):
     polys = []
     if args.poly:
-        _maybe_digest(args, args.poly, "polynomial spec")
-        polys.append(load_poly(args.poly))
+        polys.append(load_poly(_input(args, args.poly, "polynomial spec")))
         q = polys[0].spec.q
     else:
         if args.q is None:
@@ -267,15 +261,13 @@ def _build_group(args) -> GroupSpec:
     if args.product is not None:
         orders = [int(x) for x in args.product.split(",") if x.strip()]
         return GroupSpec.product_of_cyclics(orders)
-    _digest_file(args, args.cayley)
-    return load_cayley_csv(args.cayley)
+    return load_cayley_csv(_input(args, args.cayley))
 
 
 def _cmd_energy(args):
     group = _build_group(args)
-    for source in (args.a, args.b):
-        _maybe_digest(args, source, "subset")
-    pair = SubsetPair(group, tuple(load_subset(args.a)), tuple(load_subset(args.b)))
+    a, b = (load_subset(_input(args, source, "subset")) for source in (args.a, args.b))
+    pair = SubsetPair(group, tuple(a), tuple(b))
     report = energy_bounds(pair)
     prod = product_set(pair)
     sandwich_ok = report.lower_int <= len(prod) <= report.upper_int
@@ -295,8 +287,7 @@ def _cmd_energy(args):
 
 
 def _cmd_code_bounds(args):
-    _digest_file(args, args.assignment)
-    table, codewords, messages = load_code_assignment(args.assignment)
+    table, codewords, messages = load_code_assignment(_input(args, args.assignment))
     n = table.domain_size
     t = collision_count(table, 2)
     v = image_count(table)
@@ -426,7 +417,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {"manifest": _build_manifest(args), "result": result}
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = dumps_indented(report)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -4,8 +4,10 @@ and code-assignment files."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .energy import GroupSpec
@@ -30,6 +32,17 @@ def _read_text(source) -> str:
     return Path(source).read_text()
 
 
+def read_input(path) -> tuple[io.TextIOWrapper, str]:
+    """The file at path read once: a text stream over its bytes, decoded as
+    Path.read_text decodes them, and their SHA-256 hex digest.  The stream
+    carries the path as its name, so a loader given it picks the format the
+    path would pick.  A pipe or FIFO is read like a regular file."""
+    data = Path(path).read_bytes()
+    raw = io.BytesIO(data)
+    raw.name = str(path)
+    return io.TextIOWrapper(raw), hashlib.sha256(data).hexdigest()
+
+
 def _csv_rows(text: str) -> list[list[str]]:
     """The CSV rows of text that hold a non-blank cell.  A CSV syntax error,
     such as a cell over the csv module's field size limit, is an
@@ -51,10 +64,10 @@ def is_inline(source: str, what: str) -> bool:
     return source.lstrip().startswith(_JSON_OPENERS[what])
 
 
-def _inline_or_file(source: str, what: str):
+def _inline_or_file(source, what: str):
     """The JSON value of source: source itself when it is inline, else the
-    file at that path."""
-    text = source if is_inline(source, what) else Path(source).read_text()
+    file at that path, or the text of a stream."""
+    text = source if isinstance(source, str) and is_inline(source, what) else _read_text(source)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -66,7 +79,7 @@ def load_function_table(source) -> FunctionTable:
     or two-column CSV rows x,f(x) with x = 0..n-1 each appearing once.  The
     format follows the file extension, else the content."""
     text = _read_text(source)
-    name = "" if hasattr(source, "read") else str(source)
+    name = str(getattr(source, "name", "")) if hasattr(source, "read") else str(source)
     if name.endswith(".json") or (
         not name.endswith(".csv") and text.lstrip().startswith("{")
     ):
@@ -113,19 +126,49 @@ def _int_cells(row) -> tuple[int, ...] | None:
 
 
 def save_function_table(table: FunctionTable, path) -> None:
-    """Write table as json.dumps(function_table_to_dict(table), indent=2,
-    sort_keys=True) plus a newline would: "domain_size" sorts before
-    "values", the values list is never empty and every entry is a plain
-    non-negative int, so the layout is fixed."""
-    Path(path).write_text(
-        f'{{\n  "domain_size": {table.domain_size},\n  "values": [\n    '
-        + ",\n    ".join(map(str, table.values))
-        + "\n  ]\n}\n"
-    )
+    """Write table as its dict (function_table_to_dict) in indented JSON
+    (dumps_indented) plus a newline."""
+    Path(path).write_text(dumps_indented(function_table_to_dict(table)) + "\n")
 
 
 def function_table_to_dict(table: FunctionTable) -> dict:
     return {"domain_size": table.domain_size, "values": list(table.values)}
+
+
+def dumps_indented(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, with the
+    common shapes written at C level: dicts with str keys and non-empty
+    lists recurse, a list of plain ints is one join, strings go through the
+    C string encoder, and ints, bools and None are written directly.  Any
+    other value (floats, tuples, non-str keys, int subclasses) is left to
+    json.dumps and re-indented; JSON text holds no raw newline, so adding
+    the indent after each one is exact."""
+    return _dumps_indented(value, "\n")
+
+
+def _dumps_indented(value, nl: str) -> str:
+    """dumps_indented of a value whose first line starts after nl, a
+    newline plus that line's indent."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    inner = nl + "  "
+    if kind is dict and value and {str}.issuperset(map(type, value)):
+        items = [encode_basestring_ascii(k) + ": " + _dumps_indented(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if kind is list and value:
+        if {int}.issuperset(map(type, value)):
+            items = map(int.__repr__, value)
+        else:
+            items = [_dumps_indented(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", nl)
 
 
 def _json_ints(value, what: str) -> list[int]:

@@ -196,20 +196,6 @@ def _field_args(p: int, k: int, modulus) -> tuple[int, ...] | None:
     return modulus
 
 
-def _slot_type(p: int, k: int) -> str:
-    """The smallest array typecode whose items hold (p^k - 1) * k * (p - 1)^2,
-    the largest slot of FieldSpec.transform's packed product: q - 1 terms,
-    each a sum of at most k digit products.  Raises ValueError above 64 bits
-    rather than let a slot carry into the next."""
-    bound = (p**k - 1) * k * (p - 1) ** 2
-    for typecode in "BHIQ":
-        if bound >> (8 * array(typecode).itemsize) == 0:
-            return typecode
-    raise ValueError(
-        f"GF({p}^{k}): transform slots need {bound.bit_length()} bits, over the 64-bit limit"
-    )
-
-
 class FieldSpec:
     """Immutable description of GF(p^k) with table-backed arithmetic on
     integer encodings.  Use :func:`field_build` to construct one.
@@ -402,16 +388,23 @@ class FieldSpec:
 
     @cached_property
     def _chirp_plan(self):
-        """What transform reads for every input: the slot typecode; rows[x],
-        the k base-p digits of x packed into 2k - 1 slots (the last k - 1
-        zero, room for a digit product); tri[m] = T(m) mod (q - 1); the chirp
-        g^T(m), m < q - 1, packed into one int; and fold[h] = spread of
-        sum_t h_t X^(k+t) mod the modulus, for the q/p words h of k - 1 high
-        digits."""
+        """What transform reads for every input: the slot width in bytes and
+        the array typecode it unpacks to; rows[x], the k base-p digits of x
+        packed into 2k - 1 slots (the last k - 1 zero, room for a digit
+        product); tri[m] = T(m) mod (q - 1); the chirp g^T(m), m < q - 1,
+        packed into one int; and fold[h] = spread of sum_t h_t X^(k+t) mod
+        the modulus, for the q/p words h of k - 1 high digits.
+
+        A slot holds at most (q - 1) k (p - 1)^2, q - 1 terms each a sum of
+        at most k digit products, so its width is that bound's byte length.
+        Above 8 bytes, the widest array item, the plan raises ValueError
+        before any list is built, rather than let a slot carry into the next."""
         p, k, n = self.p, self.k, self.q - 1
-        typecode = _slot_type(p, k)
-        size = array(typecode).itemsize
-        rows = [r.to_bytes(size * (2 * k - 1), "little") for r in _rebase(k, range(p), 256**size)]
+        width = (n * k * (p - 1) ** 2).bit_length() + 7 >> 3
+        typecode = next((t for t in "BHIQ" if array(t).itemsize >= width), None)
+        if typecode is None:
+            raise ValueError(f"GF({p}^{k}): transform slots need {width} bytes, over the 8-byte limit")
+        rows = [r.to_bytes(width * (2 * k - 1), "little") for r in _rebase(k, range(p), 256**width)]
         tri, t = [], 0
         for m in range(n):  # T(m + 1) = T(m) + m
             tri.append(t)
@@ -423,7 +416,7 @@ class FieldSpec:
             for _ in range(p - 1):
                 multiples.append(self.add(multiples[-1], step))
             fold = [self.add(f, m) for m in multiples for f in fold]
-        return typecode, rows, tri, chirp, [self.spread[f] for f in fold]
+        return width, typecode, rows, tri, chirp, [self.spread[f] for f in fold]
 
     def transform(self, a) -> list[int]:
         """X_j = sum_i a_i g^(ij) for j < q - 1, from the q - 1 encodings a_i,
@@ -436,10 +429,12 @@ class FieldSpec:
         negacyclic of length q - 1: P[q-2+j] - P[j-1] for the linear
         correlation P of the q - 1 terms with c_0 .. c_(q-2).  P is one int
         product of the packed digit rows (Kronecker substitution); no slot
-        carries, since each holds at most (q - 1) k (p - 1)^2 in its array
-        type.  Each output's 2k - 1 slot differences are reduced mod p, and
-        its k - 1 high digits folded back through the modulus."""
-        typecode, rows, tri, chirp, fold = self._chirp_plan
+        carries, since each holds at most (q - 1) k (p - 1)^2 in its width
+        (_chirp_plan).  Slots of 3, 5, 6 or 7 bytes are widened to the next
+        array item size by one slice assignment per byte.  Each output's
+        2k - 1 slot differences are reduced mod p, and its k - 1 high digits
+        folded back through the modulus."""
+        width, typecode, rows, tri, chirp, fold = self._chirp_plan
         p, k, n = self.p, self.k, self.q - 1
         exp, log, red = self.exp, self.log, self.reduce
         if len(a) != n:
@@ -447,12 +442,19 @@ class FieldSpec:
         b = [exp[(log[x] - t) % n] if x else 0 for x, t in zip(a, tri)]  # a_i g^-T(i)
         w = 2 * k - 1  # slots per index
         product = int.from_bytes(b"".join(map(rows.__getitem__, reversed(b))), "little") * chirp
+        raw = product.to_bytes(2 * n * w * width, "little")
         slots = array(typecode)
-        slots.frombytes(product.to_bytes(2 * n * w * slots.itemsize, "little"))
+        size = slots.itemsize
+        if size != width:
+            wide = bytearray(len(raw) // width * size)
+            for i in range(width):
+                wide[i::size] = raw[i::width]
+            raw = wide
+        slots.frombytes(raw)
         if sys.byteorder != "little":
             slots.byteswap()
         head = slots[(n - 1) * w : (2 * n - 1) * w]  # P[n - 1 + j]
-        wrap = array(typecode, bytes(w * slots.itemsize)) + slots[: (n - 1) * w]  # P[j - 1]
+        wrap = array(typecode, bytes(w * size)) + slots[: (n - 1) * w]  # P[j - 1]
         digits = [[(u - v) % p for u, v in zip(head[t::w], wrap[t::w])] for t in range(w)]
         low, high = digits[k - 1], [0] * n  # spread of the low digits, word of the high
         for col in reversed(digits[: k - 1]):
@@ -565,11 +567,16 @@ def primitive_elements(spec: FieldSpec) -> list[FieldElement]:
 
 class FieldPoly:
     """Polynomial over a FieldSpec, little-endian coefficient encodings with
-    trailing zeros trimmed."""
+    trailing zeros trimmed.  A list of plain ints in [0, q) is taken in one
+    C-level pass; any other coefficient goes through spec.encoding, which
+    accepts elements of the field and refuses the rest."""
 
     def __init__(self, spec: FieldSpec, coeffs):
         self.spec = spec
-        vals = [spec.encoding(c) for c in coeffs]
+        vals = list(coeffs)
+        plain = {int}.issuperset(map(type, vals)) and (not vals or 0 <= min(vals) and max(vals) < spec.q)
+        if not plain:
+            vals = [spec.encoding(c) for c in vals]
         while vals and vals[-1] == 0:
             vals.pop()
         self.coeffs = tuple(vals)
@@ -597,15 +604,16 @@ class FieldPoly:
 
         For x = g^j, x^e = g^(j (e mod (q - 1))) when e >= 1, so folding c_e
         into slot e mod (q - 1) (and c_0 into slot 0) makes f(g^j) the
-        transform's X_j; f(0) = c_0."""
+        transform's X_j; f(0) = c_0.  Exponents below q - 1 fill their own
+        slot, so only those from q - 1 on are folded."""
         spec = self.spec
         n = spec.q - 1
         coeffs = self.coeffs or (0,)
-        slots = [0] * n
-        slots[0] = coeffs[0]
-        for e, c in enumerate(coeffs[1:], 1):
-            if c:
-                slots[e % n] = spec.add(slots[e % n], c)
+        slots = list(coeffs[:n])
+        slots += [0] * (n - len(slots))
+        for e in range(n, len(coeffs)):
+            if coeffs[e]:
+                slots[e % n] = spec.add(slots[e % n], coeffs[e])
         out = [coeffs[0]] * spec.q
         for x, v in zip(spec.exp, spec.transform(slots)):
             out[x] = v

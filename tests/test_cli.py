@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -584,6 +586,93 @@ def test_inputs_given_as_paths_are_digested(tmp_path, monkeypatch, capsys):
         _, report = run_cli(capsys, *argv)
         expected = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
         assert report["manifest"]["input_digests"] == expected
+
+
+def test_a_poly_spec_from_a_fifo_is_digested(tmp_path):
+    # a FIFO is no regular file, and it yields its bytes once: the report
+    # must rest on that one read and name it by its SHA-256.  The CLI runs in
+    # a child process, so a second open (which would wait for a writer
+    # forever) fails the test by its timeout instead of hanging it.
+    root = Path(__file__).resolve().parents[1]
+    fifo = tmp_path / "spec.fifo"
+    os.mkfifo(fifo)
+    data = b'{"p": 7, "coeffs": [0, 0, 1]}'
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "valuesets.cli", "test-conditions", "--poly", str(fifo)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+    finally:
+        writer.join(timeout=5)
+        if writer.is_alive():  # the child never opened the FIFO: release the writer
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["manifest"]["input_digests"] == {str(fifo): hashlib.sha256(data).hexdigest()}
+    assert report["result"]["coeffs"] == [0, 0, 1] and report["result"]["profile"]["mask"] == "1111"
+
+
+def test_every_input_file_is_opened_once_per_call(tmp_path, monkeypatch, capsys):
+    poly, a, b = tmp_path / "poly.json", tmp_path / "a.json", tmp_path / "b.json"
+    poly.write_text('{"p": 5, "coeffs": [0, 0, 1]}')
+    a.write_text("[0, 1]")
+    b.write_text("[0, 3]")
+    table, code = tmp_path / "t.csv", tmp_path / "code.csv"
+    table.write_text("0,1\n1,1\n2,0\n")
+    code.write_text("c0,m0\nc1,m0\n")
+    opened = []
+    path_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(str(self))
+        return path_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    for argv, paths in (
+        (["test-conditions", "--poly", str(poly)], [poly]),
+        (["verify-lemma", "--poly", str(poly)], [poly]),
+        (["energy", "--cyclic", "10", "--a", str(a), "--b", str(b)], [a, b]),
+        (["stats", str(table)], [table]),
+        (["code-bounds", str(code)], [code]),
+    ):
+        opened.clear()
+        assert main(argv) == 0
+        assert sorted(opened) == sorted(map(str, paths)), argv
+        report = json.loads(capsys.readouterr().out)
+        assert sorted(report["manifest"]["input_digests"]) == sorted(opened)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "{table}"],
+        ["bounds", "--n", "40", "--t", "12"],
+        ["bounds", "--n", "12", "--s", "3", "--t", "30"],
+        ["bk", "--k", "12"],
+        ["construct", "--n", "9", "--t", "4", "--kind", "upper"],
+        ["field", "--p", "3", "--k", "2"],
+        ["test-conditions", "--poly", '{"p": 3, "k": 2, "coeffs": [1, 2, 0, 1]}'],
+        ["classify", "--q", "3"],
+        ["verify-lemma", "--q", "5", "--random", "2"],
+        ["energy", "--product", "2,3", "--a", "[0, 1, 4]", "--b", "[2, 5]"],
+        ["code-bounds", "{code}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_is_the_indented_json_dump(tmp_path, capsys, argv):
+    # every report is written as json.dumps(report, indent=2, sort_keys=True)
+    # would write it, floats, bools, nulls and the manifest's strings included
+    table, code = tmp_path / "t.json", tmp_path / "code.csv"
+    table.write_text('{"domain_size": 4, "values": [0, 0, 3, 1]}')
+    code.write_text("c0,m0\nc1,m0\nc2,m1\n")
+    main([{"{table}": str(table), "{code}": str(code)}.get(x, x) for x in argv])
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_code_bounds(tmp_path, capsys):

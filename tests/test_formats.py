@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
 from valuesets.formats import (
     InputFormatError,
+    dumps_indented,
     function_table_to_dict,
     load_cayley_csv,
     load_code_assignment,
@@ -29,6 +31,41 @@ def test_saved_table_is_the_indented_json_dump(tmp_path):
         save_function_table(f, path)
         expected = json.dumps(function_table_to_dict(f), indent=2, sort_keys=True) + "\n"
         assert path.read_text() == expected
+
+
+def _fuzz_value(rng, depth):
+    """A random JSON-encodable value: every scalar json.dumps takes, nested
+    dicts (str keys, or int, float, bool and None keys in a dict of their
+    own) and lists or tuples, empty ones included."""
+    scalars = [
+        lambda: rng.randrange(-10**20, 10**20),
+        lambda: rng.choice([0, 1, -1, True, False, None]),
+        lambda: rng.choice([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e300, 2.5, -1 / 3]),
+        lambda: "".join(rng.choice('ab\u00e9\u2603\U0001f600"\\/\n\t\x00\x1f\x7f ') for _ in range(rng.randrange(6))),
+    ]
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(scalars)()
+    shape = rng.randrange(6)
+    n = rng.randrange(5)
+    if shape == 0:
+        keys = [str(rng.randrange(30)) + rng.choice(["", "\u00e9", '"']) for _ in range(n)]
+        return {k: _fuzz_value(rng, depth - 1) for k in keys}
+    if shape == 1:
+        keys = rng.choice([[3, 1, 2], [2.5, -1.0], [True, False], [None], [0, 7]])
+        return {k: _fuzz_value(rng, depth - 1) for k in keys}
+    if shape == 2:
+        return [rng.randrange(-10**30, 10**30) for _ in range(n)] + rng.choice([[], [True], [1.0], [False, 3]])
+    if shape == 3:
+        return tuple(_fuzz_value(rng, depth - 1) for _ in range(n))
+    return [_fuzz_value(rng, depth - 1) for _ in range(n)]
+
+
+def test_dumps_indented_equals_the_indented_json_dump():
+    rng = random.Random(11)
+    values = [{}, [], (), {"a": {}, "b": [], "c": [[]]}, [0], [True, 1], [1, True], "", None, 0.0]
+    values += [_fuzz_value(rng, 4) for _ in range(3000)]
+    for value in values:
+        assert dumps_indented(value) == json.dumps(value, indent=2, sort_keys=True), value
 
 
 def test_json_requires_keys(tmp_path):

@@ -188,6 +188,32 @@ def test_poly_trims_and_validates():
         FieldPoly(F7, [9])
 
 
+def test_poly_bulk_check_refuses_what_encoding_refuses():
+    # a list of plain ints in [0, q) is taken in one pass; any other list
+    # goes through FieldSpec.encoding, so it is refused at its first bad
+    # coefficient with encoding's message
+    for bad in (
+        [True], [0, 1, False], [1.0], [2, 0.5], [-1], [0, -3, 1], [7], [0, 1, 7], [3, 2**70],
+        [F9.element(1)], [1, F9.element(2)], ["3"], [None], [0, 1, 2, 7, True, -1],
+    ):
+        expected = None
+        for c in bad:
+            try:
+                F7.encoding(c)
+            except ValueError as exc:
+                expected = str(exc)
+                break
+        assert expected is not None, bad
+        with pytest.raises(ValueError) as caught:
+            FieldPoly(F7, bad)
+        assert str(caught.value) == expected, bad
+    # elements of the same field, alone or among ints, and any iterable
+    assert FieldPoly(F7, [F7.element(3), 2, F7.element(0)]).coeffs == (3, 2)
+    assert FieldPoly(F9, [F9.element(8), 8, 0]).coeffs == (8, 8)
+    assert FieldPoly(F7, (c for c in [0, 6, 0])).coeffs == (0, 6)
+    assert FieldPoly(F7, range(7)).coeffs == tuple(range(7))
+
+
 def test_reduce_mod_qx():
     assert reduce_mod_qx(FieldPoly(F7, [0] * 7 + [1])).coeffs == (0, 1)  # X^7 -> X
     x9_plus_x = FieldPoly(F9, [0, 1] + [0] * 7 + [1])
