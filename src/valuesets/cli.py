@@ -413,14 +413,13 @@ def main(argv=None) -> int:
     args._digests = {}
     try:
         result, code = args.handler(args)
+        text = dumps_indented({"manifest": _build_manifest(args), "result": result})
+        if args.out:
+            Path(args.out).write_text(text + "\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = {"manifest": _build_manifest(args), "result": result}
-    text = dumps_indented(report)
     print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
     return code
 
 

@@ -445,9 +445,9 @@ def index_to_values(index: int, q: int) -> list[int]:
     return _digits_of(index, q, q)[::-1]
 
 
-def _classify_shard(args) -> tuple[list[int], list[int | None]]:
-    """Profile every value table with index in [lo, hi); returns per-mask
-    counts and the first (minimal) index seen per mask."""
+def _classify_shard(args) -> dict[str, tuple[int, int]]:
+    """Profile every value table with index in [lo, hi); returns, per 4-bit
+    mask name met, its count and the first (least) index seen."""
     p, k, modulus, lo, hi = args
     spec = field_build(p, k, modulus)
     q = spec.q
@@ -487,11 +487,7 @@ def _classify_shard(args) -> tuple[list[int], list[int | None]]:
             cnt[w] += 1
             if w:
                 break
-    return counts, first
-
-
-def _mask_bits_to_str(mask: int) -> str:
-    return "".join("1" if mask & b else "0" for b in (8, 4, 2, 1))
+    return {format(m, "04b"): (counts[m], first[m]) for m in range(16) if counts[m]}
 
 
 def classify_all(
@@ -504,8 +500,9 @@ def classify_all(
 
     Enumeration is lexicographic on value tables.  The range is split into
     min(jobs, CPUs) contiguous shards, one per worker process (none for a
-    single shard), whose merge (count sums, minimum witness index) makes the
-    summary independent of the shard count.  jobs must be an int >= 1.
+    single shard), whose merge in shard order (count sums, each mask's first
+    index) makes the summary independent of the shard count.  jobs must be
+    an int >= 1.
     """
     if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
@@ -533,26 +530,18 @@ def classify_all(
         with ProcessPoolExecutor(max_workers=len(shards)) as pool:
             results = list(pool.map(_classify_shard, shards))
 
-    counts = [0] * 16
-    first: list[int | None] = [None] * 16
-    for shard_counts, shard_first in results:
-        for m in range(16):
-            counts[m] += shard_counts[m]
-            fi = shard_first[m]
-            if fi is not None and (first[m] is None or fi < first[m]):
-                first[m] = fi
-
-    mask_counts = {}
-    witness_indices = {}
-    witness_polys = {}
-    for m in range(16):
-        if counts[m] == 0:
-            continue
-        ms = _mask_bits_to_str(m)
-        mask_counts[ms] = counts[m]
-        witness_indices[ms] = first[m]
-        table = FunctionTable(q, tuple(index_to_values(first[m], q)))
-        witness_polys[ms] = interpolate(table, spec).coeffs
+    # the shards cover [0, q^q) in order, so the first to meet a mask holds
+    # its least index
+    mask_counts: dict[str, int] = {}
+    witness_indices: dict[str, int] = {}
+    for tally in results:
+        for mask, (count, first) in tally.items():
+            mask_counts[mask] = mask_counts.get(mask, 0) + count
+            witness_indices.setdefault(mask, first)
+    witness_polys = {
+        mask: interpolate(FunctionTable(q, tuple(index_to_values(idx, q))), spec).coeffs
+        for mask, idx in witness_indices.items()
+    }
 
     return ClassificationSummary(
         q=q,

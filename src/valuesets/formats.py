@@ -64,14 +64,21 @@ def is_inline(source: str, what: str) -> bool:
     return source.lstrip().startswith(_JSON_OPENERS[what])
 
 
+def _json(text: str, what: str):
+    """The JSON value of text, an input of kind what.  Malformed text, or
+    nesting deeper than the decoder's recursion admits, is an
+    InputFormatError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputFormatError(f"invalid {what} JSON: {exc}") from exc
+
+
 def _inline_or_file(source, what: str):
     """The JSON value of source: source itself when it is inline, else the
     file at that path, or the text of a stream."""
     text = source if isinstance(source, str) and is_inline(source, what) else _read_text(source)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid {what} JSON: {exc}") from exc
+    return _json(text, what)
 
 
 def load_function_table(source) -> FunctionTable:
@@ -83,10 +90,7 @@ def load_function_table(source) -> FunctionTable:
     if name.endswith(".json") or (
         not name.endswith(".csv") and text.lstrip().startswith("{")
     ):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"invalid JSON: {exc}") from exc
+        obj = _json(text, "function table")
         if not isinstance(obj, dict) or "domain_size" not in obj or "values" not in obj:
             raise InputFormatError('JSON table needs keys "domain_size" and "values"')
         try:
@@ -242,21 +246,13 @@ def load_code_assignment(source) -> tuple[FunctionTable, list[str], list[str]]:
     rows = _csv_rows(_read_text(source))
     if not rows:
         raise InputFormatError("code assignment has no rows")
-    codewords: list[str] = []
-    seen_codewords = set()
-    messages: list[str] = []
-    message_ids: dict[str, int] = {}
-    values = []
+    labels: dict[str, int] = {}  # codeword -> message label, in row order
+    message_ids: dict[str, int] = {}  # message -> label, first-seen order
     for row in rows:
         if len(row) != 2:
             raise InputFormatError(f"expected codeword,message rows, got {row!r}")
         codeword, message = row[0].strip(), row[1].strip()
-        if codeword in seen_codewords:
+        if codeword in labels:
             raise InputFormatError(f"duplicate codeword {codeword!r}")
-        seen_codewords.add(codeword)
-        codewords.append(codeword)
-        if message not in message_ids:
-            message_ids[message] = len(messages)
-            messages.append(message)
-        values.append(message_ids[message])
-    return FunctionTable(len(codewords), tuple(values)), codewords, messages
+        labels[codeword] = message_ids.setdefault(message, len(message_ids))
+    return FunctionTable(len(labels), tuple(labels.values())), list(labels), list(message_ids)

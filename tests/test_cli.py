@@ -1,13 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
+from hypothesis import HealthCheck, example, given, seed, settings
+from hypothesis import strategies as st
 
 from valuesets import cli, formats, gf
 from valuesets.bounds import BK_LIMIT, _bk, triangular_B
@@ -237,9 +243,35 @@ def test_construct_limit(capsys, monkeypatch):
         assert captured.out == "" and f"CONSTRUCT_LIMIT = {n}" in captured.err
 
 
-class FileText(str):
-    """An argv entry that test_malformed_arguments_exit_2 writes to a file,
+class FileText(NamedTuple):
+    """An argv entry that write_files writes to a file with this suffix,
     passing the file's path in its place."""
+
+    text: str
+    suffix: str = ""
+
+
+def write_files(argv, directory) -> list:
+    """argv with each FileText written to a file in directory and replaced
+    by that file's path."""
+    out = []
+    for i, arg in enumerate(argv):
+        if isinstance(arg, FileText):
+            path = Path(directory, f"input{i}{arg.suffix}")
+            path.write_bytes(arg.text.encode())
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+# Deeper than the JSON decoder admits under any recursion limit a test runs
+# with: the CLI's default limit refuses about 1000 levels, and hypothesis
+# raises the limit by 2000 frames while its tests run.
+_DEEP = 10**5
 
 
 @pytest.mark.parametrize(
@@ -269,15 +301,14 @@ class FileText(str):
         (["construct", "--n", "-3", "--t", "0"], "--n must be at least 1, got -3"),
         (["construct", "--kind", "upper", "--n", "0", "--t", "0"], "--n must be at least 1, got 0"),
         (["construct", "--kind", "upper", "--n", "-3", "--t", "0"], "--n must be at least 1, got -3"),
+        (["stats", FileText("{not json")], "invalid function table JSON"),
+        (["stats", FileText('{"domain_size": 1, "values": ' + _nested(_DEEP) + "}")], "invalid function table JSON"),
+        (["energy", "--cyclic", "5", "--a", _nested(_DEEP), "--b", "[0]"], "invalid subset JSON"),
+        (["test-conditions", "--poly", '{"p": ' + _nested(_DEEP) + "}"], "invalid polynomial spec JSON"),
     ],
 )
 def test_malformed_arguments_exit_2(tmp_path, capsys, argv, message):
-    for i, arg in enumerate(argv):
-        if isinstance(arg, FileText):
-            path = tmp_path / f"input{i}"
-            path.write_text(arg)
-            argv = [*argv[:i], str(path), *argv[i + 1 :]]
-    assert main(argv) == 2
+    assert main(write_files(argv, tmp_path)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
 
@@ -722,6 +753,212 @@ def test_out_flag_writes_identical_report(tmp_path, capsys):
     main(["bk", "--k", "6", "--out", str(out)])
     stdout = capsys.readouterr().out
     assert out.read_text() == stdout
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-dir", "a-dir"])
+def test_failed_out_write_exits_2_with_no_report(tmp_path, capsys, target):
+    # the report is written to --out before it is printed, so a write that
+    # fails leaves stdout empty and exits as malformed input does
+    assert main(["bounds", "--n", "5", "--t", "2", "--out", str(tmp_path / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+# -- the CLI under generated argv and input files ------------------------------
+
+class FuzzOut(NamedTuple):
+    """An --out value of test_cli_fuzz: a new file in its directory ("file"),
+    a file in a missing directory ("missing"), or the directory itself
+    ("dir")."""
+
+    kind: str
+
+
+# ints that are negative, zero, small or far beyond every limit
+_ints = st.one_of(st.integers(-3, 40), st.sampled_from([-(10**400), 10**300, 10**300 + 1, 10**400]))
+# fields of at most 125 elements, or (p, k) that name no field
+_good_fields = st.sampled_from([(2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4), (5, 1), (5, 3), (7, 1), (11, 2), (97, 1)])
+_bad_fields = st.one_of(
+    st.tuples(st.sampled_from([-3, 0, 1, 4, 9, 10**400]), _ints),
+    st.tuples(st.sampled_from([2, 3, 5]), st.sampled_from([-1, 0, 10**400])),
+)
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(-5, 130), st.just(10**400), st.text(max_size=4)
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=24)
+
+
+def _pick(draw, bad: bool, valid, junk):
+    """A draw from valid, or, in a malformed call (bad), from junk when a
+    coin says so.  Coins shrink to False, so inputs shrink towards
+    well-formed ones."""
+    return draw(junk if bad and draw(st.booleans()) else valid)
+
+
+def _json_text(draw, bad: bool, value, opener: str, closer: str) -> str:
+    """The JSON text of a drawn value, or in a malformed call arrays nested
+    up to _DEEP deep inside opener ... closer, or arbitrary text."""
+    deep = st.integers(1, _DEEP).map(lambda d: opener + _nested(d) + closer)
+    return _pick(draw, bad, value.map(json.dumps), deep | _text)
+
+
+def _json_arg(draw, bad: bool, value, opener: str, closer: str):
+    """_json_text, given inline when it is inline JSON and a coin says so,
+    else as a file."""
+    text = _json_text(draw, bad, value, opener, closer)
+    inline = draw(st.booleans()) and text.lstrip()[:1] in ("{", "[")
+    return text if inline else FileText(text)
+
+
+def _poly_spec(draw, bad: bool) -> dict:
+    p, k = _pick(draw, bad, _good_fields, _bad_fields)
+    q = p**k if p > 1 and 0 < k < 9 else 2
+    spec = {"p": p, "k": k, "coeffs": draw(st.lists(st.integers(0, min(q, 200) - 1), max_size=8))}
+    for key in list(spec):
+        spec[key] = _pick(draw, bad, st.just(spec[key]), _json_values)
+    if bad and draw(st.booleans()):
+        spec["modulus"] = draw(st.one_of(st.lists(st.integers(-1, 5), max_size=5), _json_values))
+    if bad and draw(st.booleans()):
+        del spec[draw(st.sampled_from(sorted(spec)))]
+    return spec
+
+
+def _csv_text(rows) -> str:
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+_subsets = st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True)
+_junk_subsets = st.lists(st.integers(-1, 12), max_size=5) | _json_values
+_junk_rows = st.lists(st.lists(st.one_of(st.integers(-1, 8), _text), min_size=1, max_size=3), max_size=6)
+
+
+def _table(draw, bad: bool) -> FileText:
+    values = _pick(draw, bad, st.lists(st.integers(0, 5), min_size=1, max_size=8),
+                   st.lists(st.integers(-1, 5), max_size=8) | _json_values)
+    n = len(values) if isinstance(values, list) else 1
+    form = draw(st.sampled_from(["json", "csv", "text"] if bad else ["json", "csv"]))
+    if form == "json":
+        table = {"domain_size": _pick(draw, bad, st.just(n), _json_values), "values": values}
+        text = _json_text(draw, bad, st.just(table), '{"domain_size": 1, "values": ', "}")
+        return FileText(text, draw(st.sampled_from(["", ".json"])))
+    if form == "csv" and isinstance(values, list):
+        rows = draw(st.permutations(list(enumerate(values))))
+        rows = [("x", "f(x)")] * draw(st.booleans()) + _pick(draw, bad, st.just(rows), _junk_rows)
+        return FileText(_csv_text(rows), draw(st.sampled_from(["", ".csv"])))
+    return FileText(draw(_text), draw(st.sampled_from(["", ".json", ".csv"])))
+
+
+def _group(draw, bad: bool) -> list:
+    """The group options of an energy call: one flag naming a group of order
+    4 to 12, or in a malformed call any flags with any values."""
+    flags = st.sampled_from(["--cyclic", "--product", "--cayley"])
+    argv = []
+    for flag in _pick(draw, bad, st.lists(flags, min_size=1, max_size=1), st.lists(flags, max_size=3)):
+        if flag == "--cyclic":
+            argv += [flag, str(_pick(draw, bad, st.integers(4, 12), _ints))]
+        elif flag == "--product":
+            orders = _pick(draw, bad, st.lists(st.integers(2, 4), min_size=2, max_size=3), st.lists(_ints, max_size=3))
+            argv += [flag, _pick(draw, bad, st.just(",".join(map(str, orders))), _text)]
+        else:
+            n = draw(st.integers(4, 5))
+            rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+            argv += [flag, FileText(_csv_text(_pick(draw, bad, st.just(rows), _junk_rows)), ".csv")]
+    return argv
+
+
+@st.composite
+def _argv(draw):
+    """One CLI call: a subcommand with generated options and inputs, one
+    call in four malformed, and an --out now and then."""
+    bad = draw(st.integers(0, 3)) == 3
+    command = draw(st.sampled_from(
+        ["stats", "bounds", "bk", "construct", "field", "test-conditions", "classify",
+         "verify-lemma", "energy", "code-bounds"]
+    ))
+
+    def num(valid) -> str:
+        return str(_pick(draw, bad, valid, _ints))
+
+    def pairs() -> str:  # an even t, as collision counts are
+        return num(st.integers(0, 20).map(lambda h: 2 * h))
+
+    def subset():
+        return _json_arg(draw, bad, st.just(_pick(draw, bad, _subsets, _junk_subsets)), "[", "]")
+
+    if command == "stats":
+        argv = ["stats", _table(draw, bad)]
+    elif command == "bounds":
+        argv = ["bounds", "--n", num(st.integers(1, 40)), "--t", pairs()]
+        if bad and draw(st.booleans()):
+            argv += ["--s", num(_ints)]
+    elif command == "bk":
+        argv = ["bk", "--k", num(st.integers(0, 40))]
+    elif command == "construct":
+        argv = ["construct", "--n", num(st.integers(1, 40)), "--t", pairs(),
+                "--kind", draw(st.sampled_from(["lower", "upper"]))]
+    elif command == "field":
+        p, k = _pick(draw, bad, _good_fields, _bad_fields)
+        argv = ["field", "--p", str(p), "--k", str(k)]
+        if bad and draw(st.booleans()):
+            argv += ["--modulus", ",".join(map(str, draw(st.lists(st.integers(-1, 5), max_size=7))))]
+    elif command == "test-conditions" or (command == "verify-lemma" and draw(st.booleans())):
+        argv = [command, "--poly", _json_arg(draw, bad, st.just(_poly_spec(draw, bad)), '{"p": ', "}")]
+    elif command == "classify":
+        # q <= 4 classifies at once; 6 is no prime power; 9 and 10^300 are over budget
+        q = _pick(draw, bad, st.sampled_from([2, 3, 4]), st.sampled_from([-2, 0, 1, 6, 9, 10**300]))
+        argv = ["classify", "--q", str(q), "--jobs", str(_pick(draw, bad, st.just(1), st.sampled_from([0, -1])))]
+        if bad and draw(st.booleans()):
+            argv += ["--budget", str(draw(st.integers(-2, 300)))]
+        if bad and draw(st.booleans()):
+            argv += ["--modulus", ",".join(map(str, draw(st.lists(st.integers(-1, 3), max_size=4))))]
+    elif command == "verify-lemma":
+        argv = ["verify-lemma", "--q", num(st.sampled_from([2, 3, 5, 7, 9, 97])),
+                "--random", num(st.sampled_from([1, 3])), "--seed", num(_ints)]
+    elif command == "energy":
+        argv = ["energy", *_group(draw, bad), "--a", subset(), "--b", subset()]
+    else:
+        codewords = draw(st.lists(st.text("abc01", min_size=1, max_size=3), min_size=1, max_size=8, unique=True))
+        rows = [(c, f"m{draw(st.integers(0, 3))}") for c in codewords]
+        text = _pick(draw, bad, st.just(_csv_text(rows)), _text | _junk_rows.map(_csv_text))
+        argv = ["code-bounds", FileText(text, ".csv")]
+    if draw(st.integers(0, 5)) == 5:
+        argv += ["--out", FuzzOut(draw(st.sampled_from(["file", "missing", "dir"])))]
+    return argv
+
+
+@seed(20121017)
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+@example(["bounds", "--n", "5", "--t", "2", "--out", FuzzOut("missing")])
+@example(["bounds", "--n", "5", "--t", "2", "--out", FuzzOut("dir")])
+@example(["stats", FileText('{"domain_size": 1, "values": ' + _nested(_DEEP) + "}", ".json")])
+@example(["energy", "--cyclic", "5", "--a", _nested(_DEEP), "--b", "[0]"])
+@example(["test-conditions", "--poly", '{"p": ' + _nested(_DEEP) + "}"])
+def test_cli_fuzz(argv):
+    # every call either exits 0 or 1 with its report on stdout, written as
+    # dumps_indented writes it, and nothing on stderr, or exits 2 with a
+    # message or usage line on stderr and nothing on stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = {"file": f"{tmp}/report.json", "missing": f"{tmp}/missing/report.json", "dir": tmp}
+        args = [outs[arg.kind] if isinstance(arg, FuzzOut) else arg for arg in write_files(argv, tmp)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(args)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        if code in (0, 1):
+            assert err == "" and out == formats.dumps_indented(json.loads(out)) + "\n", args
+            if FuzzOut("file") in argv:
+                assert Path(outs["file"]).read_text() == out
+        else:
+            assert code == 2 and out == "" and err.startswith(("error:", "usage:")), (args, err)
 
 
 def test_console_entry_point(tmp_path):

@@ -170,8 +170,7 @@ def test_passing_tables_never_touch_character_sums(monkeypatch):
         counts = _value_counts(values, spec.q)
         assert _c2_scan(spec, counts, _n2(counts)) is None
         assert profile_from_values(spec, values).mask == "1111"
-    counts, _ = _classify_shard((3, 1, None, 0, 3**3))
-    assert counts[0b1111] == 18
+    assert _classify_shard((3, 1, None, 0, 3**3))["1111"][0] == 18
 
 
 def test_c2_scan_refuses_to_disagree(monkeypatch):
@@ -276,6 +275,34 @@ def test_classify_caps_workers_at_cpu_count(monkeypatch):
     summary = classify_all(3, jobs=64)
     assert recorded == [2]  # min(64 jobs, 2 CPUs) = 2 shards, one per worker
     assert summary.mask_counts == {"0000": 9, "1111": 18}
+
+
+@pytest.mark.parametrize(
+    "p, k, lo, hi",
+    [(3, 1, 0, 27), (3, 1, 5, 19), (2, 2, 0, 256), (2, 2, 37, 200), (5, 1, 0, 3125), (5, 1, 1234, 2345)],
+)
+def test_classify_shard_tallies_by_mask_name(p, k, lo, hi):
+    # a shard over [lo, hi) returns {4-bit mask: (count, least index)}, as
+    # profile_from_values tallies the same range: the counts sum to hi - lo,
+    # and each least index lies in [lo, hi) and is the first with its mask
+    spec = field_build(p, k)
+    q = spec.q
+    expected = {}
+    for idx in range(lo, hi):
+        mask = profile_from_values(spec, index_to_values(idx, q)).mask
+        count, least = expected.get(mask, (0, idx))
+        expected[mask] = (count + 1, least)
+    assert _classify_shard((p, k, spec.modulus, lo, hi)) == expected
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_classify_merges_three_and_four_shards_in_order(monkeypatch, q):
+    # with 4 CPUs, jobs = 1..4 forms 1..4 shards; the merge in shard order
+    # (count sums, each mask's first index) gives one summary for them all
+    monkeypatch.setattr(conditions.os, "cpu_count", lambda: 4)
+    one = classify_all(q, jobs=1)
+    for jobs in (2, 3, 4):
+        assert classify_all(q, jobs=jobs) == one
 
 
 def check_reduced_scans(f):
