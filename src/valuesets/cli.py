@@ -320,17 +320,11 @@ def _parse_modulus(text: str | None):
 
 
 def _build_manifest(args) -> dict:
-    skip = {"handler", "_digests", "out"}
-    options = {}
-    for key, value in vars(args).items():
-        if key in skip:
-            continue
-        options[key] = value
     return {
         "tool": "valuesets",
         "version": __version__,
         "subcommand": args.subcommand,
-        "options": options,
+        "options": {k: v for k, v in vars(args).items() if k not in {"handler", "_digests", "out"}},
         "input_digests": dict(sorted(args._digests.items())),
         "seed": getattr(args, "seed", 0),
         "jobs": getattr(args, "jobs", 1),

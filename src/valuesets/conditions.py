@@ -502,10 +502,12 @@ def classify_all(
     min(jobs, CPUs) contiguous shards, one per worker process (none for a
     single shard), whose merge in shard order (count sums, each mask's first
     index) makes the summary independent of the shard count.  jobs must be
-    an int >= 1.
+    an int >= 1 and budget an int.
     """
     if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
+    if type(budget) is not int:
+        raise ValueError(f"budget must be an int, got {budget!r}")
     # q^q >= 2^q > budget once q exceeds the budget's bit length: refused
     # before q is factored or q^q formed
     if q > budget.bit_length() or q**q > budget:

@@ -68,42 +68,28 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
 
 # -- polynomial helpers over F_p (little-endian coefficient lists) ----------
 
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _fp_mod(a: list[int], m: list[int], p: int) -> list[int]:
     """Remainder of a modulo the monic polynomial m, for a with coefficients
-    in [0, p): the irreducibility test's trial division, and the one
-    reduction modulo a field's modulus (FieldSpec._raw_mul, the images
-    X^d g of FieldSpec.exp, _chirp_plan)."""
-    a = list(a)
+    in [0, p), as exactly deg m coefficients (zeros kept): the
+    irreducibility test's trial division, and the one reduction modulo a
+    field's modulus (FieldSpec._raw_mul, the images X^d g of FieldSpec.exp,
+    the fold of X^j in _chirp_plan)."""
     dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        shift = len(a) - 1 - dm
+    a = list(a) + [0] * (dm - len(a))
+    while len(a) > dm:
+        lead, shift = a.pop(), len(a) - dm
         if lead:
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        a.pop()
-        _fp_trim(a)
+            for i, mi in enumerate(m[:dm], shift):
+                a[i] = (a[i] - lead * mi) % p
     return a
 
 
 def _fp_is_irreducible(poly: list[int], p: int) -> bool:
     """Trial division of a monic poly of degree >= 1 by every monic
-    polynomial of degree 1..deg/2."""
-    degree = len(poly) - 1
-    if degree == 1:
-        return True
-    if poly[0] == 0:  # divisible by X
-        return False
-    for d in range(1, degree // 2 + 1):
+    polynomial of degree 1..deg/2, X first."""
+    for d in range(1, (len(poly) - 1) // 2 + 1):
         for enc in range(p**d):
-            div = _digits_of(enc, p, d) + [1]
-            if not _fp_mod(poly, div, p):
+            if not any(_fp_mod(poly, _digits_of(enc, p, d) + [1], p)):
                 return False
     return True
 
@@ -145,27 +131,30 @@ def _rebase(k: int, digit_values, base: int) -> list[int]:
 
 def _linear_table(p: int, images) -> list[int]:
     """out[x] = sum_d x_d images[d] over F_p, for the base-p digits x_d of
-    x: the table of the F_p-linear map that takes p^d to the k-digit vector
-    images[d].
+    x: the table of the F_p-linear map that takes p^d to the vector
+    images[d] of k = len(images[0]) digits, over len(images) input digits
+    ([0] when there are none).
 
-    x = lo + p^a hi, with a = ceil(k/2), splits the map into the images of
-    lo and of hi: p^a and p^(k-a) digit vectors, built one digit at a time.
-    Each is kept as its spread (base 2p - 1, as FieldSpec.spread), cut at
-    digit a, so the two add without carry, and each half of a sum is reduced
-    mod p by one list of (2p - 1)^a or (2p - 1)^(k-a) entries: no list of
-    (2p - 1)^k entries is built."""
-    k, base = len(images), 2 * p - 1
-    a = (k + 1) // 2
+    x = lo + p^a hi, with a = ceil(len(images)/2), splits the map into the
+    images of lo and of hi, built one digit at a time.  Each is kept as its
+    spread (base 2p - 1, as FieldSpec.spread), cut at output digit
+    b = ceil(k/2), so the two add without carry, and each half of a sum is
+    reduced mod p by one list of (2p - 1)^b or (2p - 1)^(k-b) entries: no
+    list of (2p - 1)^k entries is built."""
+    if not images:
+        return [0]
+    k, base = len(images[0]), 2 * p - 1
+    a, b = (len(images) + 1) // 2, (k + 1) // 2
 
     def spreads(imgs):
         vecs = [[0] * k]
         for img in imgs:  # each pass appends the next, more significant digit
             vecs = [[(s + j * c) % p for s, c in zip(v, img)] for j in range(p) for v in vecs]
-        return [(_encode_digits(v[:a], base), _encode_digits(v[a:], base)) for v in vecs]
+        return [(_encode_digits(v[:b], base), _encode_digits(v[b:], base)) for v in vecs]
 
     lo, hi = spreads(images[:a]), spreads(images[a:])
-    low = _rebase(a, [d % p for d in range(base)], p)
-    high = _rebase(k - a, [d % p * p**a for d in range(base)], p)
+    low = _rebase(b, [d % p for d in range(base)], p)
+    high = _rebase(k - b, [d % p * p**b for d in range(base)], p)
     out = []
     for hl, hh in hi:
         out += [low[l + hl] + high[h + hh] for l, h in lo]
@@ -254,8 +243,8 @@ class FieldSpec:
         multiplicative group; built on first use.  The search for g starts
         at p when k >= 2, since every x < p lies in GF(p)* and has order
         below q - 1.  x -> x g is F_p-linear in the digits of x, so one
-        table of x g (_linear_table, from the k images X^d g reduced by
-        _fp_mod) gives exp[i] = times_g[exp[i - 1]], one lookup a power."""
+        table of x g (_linear_table, from the k images X^d g, each k digits
+        from _fp_mod) gives exp[i] = times_g[exp[i - 1]], one lookup a power."""
         p, k, q = self.p, self.k, self.q
         factors = prime_factors(q - 1)
         gen = next(
@@ -266,8 +255,7 @@ class FieldSpec:
             times_g = [x * gen % p for x in range(p)]
         else:
             g = _digits_of(gen, p, k)
-            images = [_fp_mod([0] * d + g, self.modulus, p) for d in range(k)]
-            times_g = _linear_table(p, [v + [0] * (k - len(v)) for v in images])
+            times_g = _linear_table(p, [_fp_mod([0] * d + g, self.modulus, p) for d in range(k)])
         out = [1] * (q - 1)
         x = 1
         for i in range(1, q - 1):
@@ -393,7 +381,9 @@ class FieldSpec:
         packed into 2k - 1 slots (the last k - 1 zero, room for a digit
         product); tri[m] = T(m) mod (q - 1); the chirp g^T(m), m < q - 1,
         packed into one int; and fold[h] = spread of sum_t h_t X^(k+t) mod
-        the modulus, for the q/p words h of k - 1 high digits.
+        the modulus, for the q/p words h of k - 1 high digits: the spreads
+        of _linear_table over the _fp_mod images of X^j, k <= j <= 2k - 2
+        ([0] when k = 1).  The plan reads no addition list.
 
         A slot holds at most (q - 1) k (p - 1)^2, q - 1 terms each a sum of
         at most k digit products, so its width is that bound's byte length.
@@ -410,13 +400,8 @@ class FieldSpec:
             tri.append(t)
             t = (t + m) % n
         chirp = int.from_bytes(b"".join([rows[self.exp[t]] for t in tri]), "little")
-        fold = [0]
-        for j in range(k, 2 * k - 1):  # X^j mod the modulus, by _fp_mod
-            step, multiples = _encode_digits(_fp_mod([0] * j + [1], self.modulus, p), p), [0]
-            for _ in range(p - 1):
-                multiples.append(self.add(multiples[-1], step))
-            fold = [self.add(f, m) for m in multiples for f in fold]
-        return width, typecode, rows, tri, chirp, [self.spread[f] for f in fold]
+        images = [_fp_mod([0] * j + [1], self.modulus, p) for j in range(k, 2 * k - 1)]  # X^j
+        return width, typecode, rows, tri, chirp, [self.spread[f] for f in _linear_table(p, images)]
 
     def transform(self, a) -> list[int]:
         """X_j = sum_i a_i g^(ij) for j < q - 1, from the q - 1 encodings a_i,

@@ -310,6 +310,12 @@ def test_classify_budget_refusal():
         classify_all(9)  # 9^9 over the default budget
 
 
+def test_classify_refuses_a_non_int_budget():
+    for budget in (1.5, None, "27", 10.0**6):
+        with pytest.raises(ValueError, match="budget"):
+            classify_all(3, budget=budget)
+
+
 def test_classify_shard_invariance():
     for q in (3, 5):
         one = classify_all(q, jobs=1)

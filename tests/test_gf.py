@@ -7,6 +7,8 @@ import pytest
 from valuesets.functable import FunctionTable, image_count
 from valuesets.gf import (
     FieldConstructionError,
+    _fp_mod,
+    _linear_table,
     FieldPoly,
     FieldSpec,
     all_irreducible_moduli,
@@ -518,6 +520,60 @@ def test_traces_come_from_the_modulus_alone():
         spec = FieldSpec(p, k)  # not field_build's shared field, whose lists may exist
         assert len(spec.traces) == spec.q
         assert not {"exp", "log", "spread", "nspread", "reduce"} & set(vars(spec)), (p, k)
+
+
+def _fp_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def test_fp_mod_returns_deg_m_coefficients():
+    # a = quotient * m + r with deg r < deg m gives back r as exactly deg m
+    # coefficients, zeros kept: a zero remainder is deg m zeros, and a
+    # shorter than m comes back padded
+    rng = random.Random(28)
+    for p, k in ((2, 1), (2, 4), (3, 3), (5, 2), (7, 3), (13, 1)):
+        for m in all_irreducible_moduli(p, k)[:3]:
+            m = list(m)
+            for n in range(5):
+                quotient = [rng.randrange(p) for _ in range(n)] + [1]
+                r = [rng.randrange(p) for _ in range(k)]
+                a = [(x + y) % p for x, y in itertools.zip_longest(_fp_mul(quotient, m, p), r, fillvalue=0)]
+                assert _fp_mod(a, m, p) == r, (p, m, a)
+                assert _fp_mod(_fp_mul(quotient, m, p), m, p) == [0] * k, (p, m, quotient)
+            assert _fp_mod([], m, p) == [0] * k
+            short = [rng.randrange(p) for _ in range(k - 1)]
+            assert _fp_mod(short, m, p) == short + [0], (p, m, short)
+
+
+def test_linear_table_is_the_linear_map_of_its_images():
+    # every input of len(images) digits maps to sum_d x_d images[d] mod p, as
+    # len(images[0]) output digits: the shapes k -> k (exp's x g), k - 1 -> k
+    # (the transform's fold) and no images at all
+    rng = random.Random(29)
+    for p, k in ((2, 1), (2, 2), (2, 5), (3, 1), (3, 2), (3, 4), (5, 3), (7, 2), (11, 1)):
+        for n in (k, k - 1):
+            for _ in range(3):
+                images = [[rng.randrange(p) for _ in range(k)] for _ in range(n)]
+                want = []
+                for x in range(p**n):
+                    digits = [x // p**d % p for d in range(n)]
+                    out = [sum(x_d * img[t] for x_d, img in zip(digits, images)) % p for t in range(k)]
+                    want.append(sum(c * p**t for t, c in enumerate(out)))
+                assert _linear_table(p, images) == want, (p, images)
+    assert _linear_table(5, []) == [0]
+
+
+def test_discrete_logs_traces_and_transform_plan_build_no_reduce_list():
+    # exp walks a _linear_table, traces come from the modulus and the plan's
+    # fold is a _linear_table: none of them builds the (2p - 1)^k list
+    for p, k in ((3, 8), (2, 13)):
+        spec = FieldSpec(p, k)  # not field_build's shared field, whose lists may exist
+        spec.exp, spec.log, spec.traces, spec._chirp_plan
+        assert "reduce" not in set(vars(spec)), (p, k)
 
 
 def test_poly_values_hands_out_copies():
