@@ -60,8 +60,9 @@ from .functable import (
 from .gf import FieldPoly, field_build, poly_values, primitive_elements, prime_power_decomposition
 
 # Cap on q^2 * N for verify-lemma --random N: each polynomial costs O(q^2)
-# steps, about 16 s at q^2 = 10^8 on a shared 2-vCPU host.  A single
-# polynomial over any field below formats.FIELD_LIMIT fits.
+# steps, about 15 s at q^2 = 10^8 (one GF(9973) polynomial) on a shared
+# 2-vCPU host.  A single polynomial over any field below formats.FIELD_LIMIT
+# fits.
 LEMMA_BUDGET = 10**8
 
 # Largest --n and --t of bounds: the report carries its real bounds as

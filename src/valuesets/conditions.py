@@ -21,12 +21,14 @@ and for the classification alike.  With c(h) = #{(x, y) : f(x) - f(y) = h},
 characters gives: C2 holds iff c(0) = 2q - 1 and c(h) = q - 1 for h != 0.
 
 The rest of the per-polynomial path makes no field call per pair (x, a) or
-(x, y).  The average identity reads f(x) + ax by discrete-log rotation: one
-map chain and one Counter per a.  A table failing C2 names its least failing
-h from the trace counts of its value counts, and never builds c(h).  u_p = 1
-is read from the coefficients, sum_x f(x) = -sum c_e over e >= 1 with
-(q - 1) | e, before any value or transform is computed, and so is u_p of a
-monomial.
+(x, y).  The average identity reads f(x) + ax by discrete-log rotation and
+tallies each a's values into one list of q counts.  A table failing C2 names
+its least failing h from the trace counts of its value counts, and never
+builds c(h).  u_p = 1 is read from the coefficients, sum_x f(x) = -sum c_e
+over e >= 1 with (q - 1) | e, before any value or transform is computed, and
+so is u_p of a monomial.  Below that, a degree 1 <= d < q - 1 gives
+u_p >= ceil((q - 1)/d), and the power sum at that bound, one O(q) sum over
+the value counts, decides u_p before any transform when it is nonzero.
 
 The C1 and C3 scans of one polynomial visit only the shifts a that its
 coefficients leave open (_scan_shifts); the classification scans them all.
@@ -42,10 +44,10 @@ difference map is a bijection and has exactly one root.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
-from collections import Counter
 from dataclasses import dataclass
 
 from .bounds import S2_PROVENANCE, BoundReport, s2_report
@@ -54,6 +56,7 @@ from .gf import (
     FieldPoly,
     FieldSpec,
     _digits_of,
+    _rebase,
     field_build,
     interpolate,
     poly_values,
@@ -322,7 +325,8 @@ def _scan_shifts(f: FieldPoly) -> tuple:
     p = spec.p
     terms = [e for e, c in enumerate(f.coeffs) if c and e]
     orbits = spec.frobenius_minima if spec.k > 1 and all(c < p for c in f.coeffs) else None
-    c1 = (1,) if sum(not _is_p_power(e, p) for e in terms) <= 1 else orbits
+    others = (e for e in terms if not _is_p_power(e, p))  # read up to the second
+    c1 = (1,) if len(list(itertools.islice(others, 2))) <= 1 else orbits
     c3 = (1,) if len(terms) <= 1 else orbits
     return c1, c3
 
@@ -364,8 +368,8 @@ def _average_lemma_terms(f: FieldPoly) -> list[int]:
     For a = g^r and x = g^l, ax = g^(r+l): row a reads the sums
     f(g^l) + g^(r+l), l < q - 1, carry-free from the spreads of f's values
     in log order plus the spreads E[m] = spread[g^m] rotated by r.  Each
-    row is one map chain and one Counter; x = 0 adds f(0) to every row, and
-    N_2 = sum m^2 - q over the row's value counts m.  Row a = 0 is N_2(f)."""
+    row is tallied into one list of q value counts, seeded with f(0) for
+    x = 0, and N_2 = sum m^2 - q over those counts.  Row a = 0 is N_2(f)."""
     spec = f.spec
     q, n = spec.q, spec.q - 1
     spread, red, exp = spec.spread, spec.reduce, spec.exp
@@ -375,9 +379,11 @@ def _average_lemma_terms(f: FieldPoly) -> list[int]:
     rotations = [spread[x] for x in exp] * 2  # spread g^m, m < 2(q - 1)
     terms = [_n2(_value_counts(values, q))] * q
     for r, a in enumerate(exp):
-        m = Counter(map(red.__getitem__, map(operator.add, base, rotations[r : r + n])))
-        m[f0] += 1
-        terms[a] = sum(map(operator.mul, m.values(), m.values())) - q
+        counts = [0] * q
+        counts[f0] = 1
+        for b, c in zip(base, rotations[r : r + n]):
+            counts[red[b + c]] += 1
+        terms[a] = sum(map(operator.mul, counts, counts)) - q
     return terms
 
 
@@ -411,9 +417,17 @@ def up_invariant(f: FieldPoly) -> int | None:
     alpha^k sum_x x^(ek), so u_p is the least k with (q-1) | ek, that is
     (q-1) / gcd(e, q-1).  Otherwise, for k >= 1, sum_x f(x)^k =
     sum_l m(g^l) g^(lk), where m(v) is the number of x with f(x) = v, taken
-    mod p: the transform's X_(k mod (q-1)) of m(g^l) mod p."""
+    mod p: the transform's X_(k mod (q-1)) of m(g^l) mod p.
+
+    The degree bounds u_p from below: for 1 <= d = deg f < q - 1, f^k has
+    degree kd, and while kd < q - 1 it has no term X^e with e >= 1 and
+    (q-1) | e, so sum_x f(x)^k = 0.  Hence u_p >= k0 = ceil((q-1)/d).  The
+    one output X_k0 is summed first, in O(q): the base-p digits of each
+    g^(l k0) are re-read in slots of `width` bits, so q - 1 terms of at most
+    (p - 1)^2 per slot carry nowhere, and X_k0 != 0 iff some slot of the sum
+    is nonzero mod p.  Then u_p = k0 and no transform runs."""
     spec = f.spec
-    n = spec.q - 1
+    p, n = spec.p, spec.q - 1
     first = 0
     for c in f.coeffs[n::n]:  # c_e for e = q - 1, 2(q - 1), ...
         first = spec.add(first, c)
@@ -423,7 +437,16 @@ def up_invariant(f: FieldPoly) -> int | None:
     if len(terms) == 1 and terms[0]:
         return n // math.gcd(terms[0], n)
     counts = _value_counts(poly_values(f), spec.q)
-    sums = spec.transform([counts[v] % spec.p for v in spec.exp])
+    exp = spec.exp
+    residues = [counts[v] % p for v in exp]
+    if 1 <= f.degree < n:
+        k0 = -(-n // f.degree)
+        width = (n * (p - 1) ** 2).bit_length()
+        wide = _rebase(spec.k, range(p), 1 << width) if spec.k > 1 else range(p)
+        total = sum(c * wide[exp[l * k0 % n]] for l, c in enumerate(residues) if c)
+        if any((total >> (i * width)) % (1 << width) % p for i in range(spec.k)):
+            return k0
+    sums = spec.transform(residues)
     return next((k for k in range(1, n + 1) if sums[k % n]), None)
 
 

@@ -314,6 +314,32 @@ def check_reduced_scans(f):
     return a1, a3
 
 
+def test_shifts_match_a_full_count_of_the_exponents():
+    # _scan_shifts stops at the second exponent that is not a power of p;
+    # the shifts equal those from counting every exponent: every
+    # polynomial of degree below 3 over q <= 9, and dense polynomials over
+    # the fields of the profile-fields benchmark workload
+    def full_count(f):
+        spec, p = f.spec, f.spec.p
+        powers = {p**i for i in range(len(f.coeffs).bit_length())}
+        terms = [e for e, c in enumerate(f.coeffs) if c and e]
+        orbits = spec.frobenius_minima if spec.k > 1 and all(c < p for c in f.coeffs) else None
+        others = sum(e not in powers for e in terms)
+        return ((1,) if others <= 1 else orbits, (1,) if len(terms) <= 1 else orbits)
+
+    for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
+        spec = field_build(p, k)
+        for coeffs in itertools.product(range(spec.q), repeat=3):
+            f = FieldPoly(spec, coeffs)
+            assert _scan_shifts(f) == full_count(f), f
+    rng = random.Random("dense-shifts")
+    for p, k in ((7, 2), (3, 4), (5, 3), (127, 1), (2, 7), (251, 1)):
+        spec = field_build(p, k)
+        for bound in (spec.q, p, p):  # dense over GF(q), and over GF(p)
+            f = FieldPoly(spec, [rng.randrange(bound) for _ in range(spec.q)])
+            assert _scan_shifts(f) == full_count(f), f
+
+
 def test_monomial_plus_affine_shifts_match_full_scans():
     # alpha X^e + L(X) + c with L additive: C1 is decided by the shift 1
     # alone, and C3 too when L = 0; every e, with and without affine terms

@@ -9,6 +9,7 @@ large.
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -123,6 +124,50 @@ def check_first_power_sum_from_coefficients(spec, rng):
         f = FieldPoly(spec, coeffs)
         check(f)
         assert up_invariant(f) != 1, f
+
+
+def test_power_sums_below_the_degree_bound_match_the_oracle(monkeypatch):
+    # 1 <= d = deg f < q - 1: the power sums vanish while kd < q - 1, so
+    # u_p >= k0 = ceil((q - 1) / d); X_k0 is summed first and the transform
+    # runs only when it vanishes.  Every field with p <= 13 and q <= 125
+    # but GF(2), which has no such degree; dense and three-term polynomials
+    # of random degree.
+    rng = random.Random(7)
+    fields = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(1, 8) if 2 < p**k <= 125]
+    transforms = []
+    real = FieldSpec.transform
+
+    def counted(self, a):
+        transforms.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(FieldSpec, "transform", counted)
+    outcomes = Counter()
+    for p, k in fields:
+        spec = field_build(p, k)
+        q = spec.q
+        for i in range(12):
+            d = rng.randrange(1, q - 1)
+            coeffs = [0] * d + [rng.randrange(1, q)]
+            for e in range(d) if i % 2 else rng.sample(range(d), min(d, 2)):
+                coeffs[e] = rng.randrange(q) if i % 2 else rng.randrange(1, q)
+            f = FieldPoly(spec, coeffs)
+            poly_values(f)  # the values' own transform, before any is counted
+            k0 = -(-(q - 1) // d)
+            want = up_invariant_oracle(f)
+            assert want is None or want >= k0, (p, k, coeffs)
+            del transforms[:]
+            assert up_invariant(f) == want, (p, k, coeffs)
+            if sum(map(bool, coeffs)) == 1:
+                continue  # a monomial exits from its exponent
+            early = not transforms
+            assert early == (want == k0), (p, k, coeffs)
+            outcomes["k0" if early else "above" if want else "none"] += 1
+    assert all(outcomes[key] for key in ("k0", "above", "none")), outcomes
+    # 6X^6 + 9X^2 over GF(11): k0 = 2 but u_p = 3, from the transform
+    f = FieldPoly(field_build(11), [0, 0, 9, 0, 0, 0, 6])
+    del transforms[:]
+    assert up_invariant(f) == up_invariant_oracle(f) == 3 and transforms
 
 
 def test_large_prime_fields_use_wide_slots():
